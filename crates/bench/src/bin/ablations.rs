@@ -125,9 +125,11 @@ fn ablation_sensitivity() {
 /// Semi-naive on/off: chase wall-time on deep recursive workloads.
 fn ablation_semi_naive() {
     println!("== Ablation 5: semi-naive evaluation (chase wall-time) ==");
-    // Company control recurses through an aggregate (always re-matched
-    // fully), so semi-naive helps little there; the close-link program
-    // recurses through a plain rule, where the delta evaluation pays off.
+    // Company control recurses through an aggregate: semi-naive
+    // evaluation keeps its groups across rounds and re-folds only the
+    // groups a round's delta touches, where the naive path re-matches and
+    // re-folds every group. The close-link program recurses through a
+    // plain rule.
     let close = finkg::apps::close_links::program();
     let control_p = control::program();
     for (name, program, db) in [

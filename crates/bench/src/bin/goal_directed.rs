@@ -6,9 +6,9 @@
 //! Three finkg goals exercise cones of different sharpness:
 //!
 //! * *golden_power / control* — the control substrate (g1–g3) is the
-//!   cone; the pruned run skips the golden-power screening (g4) and the
-//!   per-round aggregate re-matching of g5 over a foreign/strategic-rich
-//!   network — the workload where pruning pays off most;
+//!   cone; the pruned run skips the golden-power screening join g4 and
+//!   the screening aggregate g5 over a foreign/strategic-rich network —
+//!   the workload where pruning pays off most;
 //! * *sanctions / flagged* — the cone crosses the negated `sanctioned`
 //!   edges but drops s4, so none of the (numerous) clean_link facts are
 //!   matched or committed;
@@ -48,9 +48,8 @@ struct Workload {
 fn golden_power_network(n: usize, seed: u64) -> Database {
     let mut db = finkg::random_ownership(n, 3, seed);
     // Every company is both a foreign acquirer and a strategic target:
-    // the screening join g4 and the aggregate g5 then re-match the whole
-    // control relation each round — exactly the work the control cone
-    // prunes away.
+    // the screening join g4 and the aggregate g5 then join the whole
+    // control relation — exactly the work the control cone prunes away.
     for i in 0..n {
         db.add("foreign", &[format!("C{i}").as_str().into()]);
         db.add("strategic", &[format!("C{i}").as_str().into()]);
@@ -64,8 +63,8 @@ fn workloads() -> Vec<Workload> {
         Workload {
             name: "golden_power/control",
             note: "control-substrate cone (g1-g3): prunes the golden-power \
-                   screening join g4 and the per-round aggregate re-matching \
-                   of g5 over a foreign/strategic-rich network",
+                   screening join g4 and the screening aggregate g5 over a \
+                   foreign/strategic-rich network",
             program: golden_power::program(),
             goal: "control",
             glossary: golden_power::glossary(),

@@ -302,6 +302,24 @@ mod tests {
         }
     }
 
+    /// Each chain of `control_bundle(21, k, s)` derives 231 `control`
+    /// facts, one per match: 21 `σ1` matches on its links and 210 `σ3`
+    /// matches `control(x, z), own(z, y)` with `x < z < y`. Semi-naive
+    /// evaluation of the aggregate `σ3` enumerates each of them once,
+    /// instead of re-matching every known `control` fact each round.
+    #[test]
+    fn control_bundle_chase_enumerates_each_match_once() {
+        for (count, seed) in [(1usize, 1u64), (3, 2), (5, 1000003)] {
+            let bundle = control_bundle(21, count, seed);
+            let out = ChaseSession::new(&control::program())
+                .with_config(vadalog::ChaseConfig::default().with_positional_index(true))
+                .run(bundle.database)
+                .unwrap();
+            assert_eq!(out.report.total_matches(), 231 * count as u64);
+            assert_eq!(out.derived_facts, 231 * count);
+        }
+    }
+
     #[test]
     fn aggregated_control_bundle_derives_targets() {
         let bundle = control_bundle_aggregated(3, 2, 7);

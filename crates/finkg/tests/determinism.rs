@@ -8,34 +8,44 @@ use finkg::apps::{close_links, control, golden_power, simple_stress, stress};
 use finkg::scenario;
 use std::sync::Arc;
 use vadalog::{
-    Budget, CancelToken, ChaseConfig, ChaseError, ChaseOutcome, ChaseSession, Database, Fact,
-    MetricsRegistry, Program, RunGuard,
+    Bindings, Budget, CancelToken, ChaseConfig, ChaseError, ChaseOutcome, ChaseSession, Database,
+    Fact, MetricsRegistry, Program, RunGuard,
 };
 
 const THREAD_SWEEP: [usize; 2] = [2, 8];
 
 /// A full structural fingerprint of a chase outcome: every fact in id
-/// order with its activity flag, every derivation in recording order,
-/// the round count and the violations. Equal fingerprints mean the
-/// outcomes are interchangeable for every downstream consumer (proofs,
-/// explanations, benches).
+/// order with its activity flag, every derivation in recording order
+/// with its head bindings and each contributor's bindings in contributor
+/// order, the round count and the violations. Equal fingerprints mean
+/// the outcomes are interchangeable for every downstream consumer
+/// (proofs, explanations, benches).
 fn fingerprint(out: &ChaseOutcome) -> String {
     use std::fmt::Write;
+    let sorted = |b: &Bindings| {
+        let mut pairs: Vec<String> = b.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        pairs.sort();
+        pairs.join(",")
+    };
     let mut s = String::new();
     for (id, fact) in out.database.iter() {
         let _ = writeln!(s, "{id} {fact} active={}", out.database.is_active(id));
     }
     for d in out.graph.derivations() {
-        let _ = writeln!(
+        let _ = write!(
             s,
-            "r{} {:?} -> {} round={} contrib={} bindings={}",
+            "r{} {:?} -> {} round={} contrib={} [{}]",
             d.rule.0,
             d.premises,
             d.conclusion,
             d.round,
             d.contributors,
-            d.bindings.len(),
+            sorted(&d.bindings),
         );
+        for c in &d.contributor_bindings {
+            let _ = write!(s, " <{}>", sorted(c));
+        }
+        let _ = writeln!(s);
     }
     let _ = write!(s, "rounds={} violations={:?}", out.rounds, out.violations);
     s
@@ -138,6 +148,58 @@ fn seeded_control_bundle_is_thread_invariant() {
 fn seeded_stress_bundle_is_thread_invariant() {
     let bundle = finkg::generator::stress_bundle(4, 6, 43);
     assert_thread_invariant("bundle/stress", &stress::program(), &bundle.database);
+}
+
+/// Semi-naive evaluation — aggregate rules included, whose kept groups
+/// re-fold only when they gain or lose a contributor — is bitwise
+/// identical to the naive full re-match at 1, 2 and 8 threads. The
+/// cases cover multi-contributor groups (the jointly held links of
+/// `control_bundle_aggregated`) and supersession (the stress test's
+/// growing `risk` sums, which `o7` sums again per company).
+#[test]
+fn semi_naive_matches_the_naive_reference_on_aggregate_programs() {
+    let mut cases: Vec<(String, Program, Database)> = Vec::new();
+    for (hops, seed) in [(2usize, 1u64), (5, 7), (8, 13)] {
+        let bundle = finkg::generator::control_bundle_aggregated(hops, 4, seed);
+        cases.push((
+            format!("control_bundle_aggregated({hops}, 4, {seed})"),
+            control::program(),
+            bundle.database,
+        ));
+    }
+    // Seeds whose cascades reach some creditor over several rounds, so
+    // its `risk` sum is superseded.
+    for (n, seed) in [(40usize, 7u64), (40, 9), (80, 0), (200, 9)] {
+        cases.push((
+            format!("stress/random_debt_network({n}, 3, 5, {seed})"),
+            stress::program(),
+            finkg::random_debt_network(n, 3, 5, seed),
+        ));
+    }
+    let indexed = ChaseConfig::default().with_positional_index(true);
+    let (mut multi_contributor, mut superseded) = (false, false);
+    for (name, program, db) in &cases {
+        let naive = ChaseSession::new(program)
+            .with_config(indexed.clone().with_semi_naive(false).with_threads(1))
+            .run(db.clone())
+            .unwrap_or_else(|e| panic!("{name}: naive chase failed: {e}"));
+        multi_contributor |= naive.graph.derivations().iter().any(|d| d.contributors > 1);
+        superseded |= naive.database.inactive_count() > 0;
+        let expected = fingerprint(&naive);
+        for threads in [1usize, 2, 8] {
+            let semi = ChaseSession::new(program)
+                .with_config(indexed.clone().with_threads(threads))
+                .run(db.clone())
+                .unwrap_or_else(|e| panic!("{name}: chase at {threads} threads failed: {e}"));
+            assert_eq!(
+                fingerprint(&semi),
+                expected,
+                "{name}: semi-naive diverged from naive at {threads} threads"
+            );
+        }
+    }
+    assert!(multi_contributor, "no case folds a multi-contributor group");
+    assert!(superseded, "no case supersedes an aggregate");
 }
 
 /// The determinism contract extends to the metrics registry: running the

@@ -2,10 +2,17 @@
 //!
 //! The engine implements the (restricted) chase of Sec. 3: rules are
 //! applied round by round until no chase step adds knowledge. Monotonic
-//! aggregations are evaluated per round over all currently visible
-//! contributors, so aggregate facts grow towards their fixpoint value and
-//! the full contributor set is recorded as provenance (cf. Fig. 8, where
+//! aggregations fold each group over all currently visible contributors,
+//! so aggregate facts grow towards their fixpoint value and the full
+//! contributor set is recorded as provenance (cf. Fig. 8, where
 //! `Risk(C,11)` is premised on both `Debts(B,C,2)` and `Debts(B,C,9)`).
+//!
+//! Aggregate rules are evaluated semi-naively like every other rule: the
+//! engine keeps each group's contributor matches for the length of a run,
+//! merges in the delta matches of each round and re-folds only the groups
+//! that gained a contributor or lost one to supersession. A group whose
+//! contributors did not change would re-derive a known step, so skipping
+//! it changes no fact, id or derivation.
 //!
 //! # Parallel matching, sequential commit
 //!
@@ -23,7 +30,7 @@
 //!    lower-id rules), restoring exactly the intra-round visibility of a
 //!    sequential evaluation. The union is filtered against superseded
 //!    facts, sorted by premise-id vector (lexicographic) and fired in
-//!    that order. Aggregation re-grouping, the restricted-chase
+//!    that order. Aggregate group maintenance, the restricted-chase
 //!    existential satisfaction check, labelled-null invention and
 //!    provenance recording all live in this phase: they read and write
 //!    global state.
@@ -63,6 +70,7 @@ use crate::telemetry::{
 };
 use crate::term::Term;
 use crate::value::Value;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
@@ -104,10 +112,12 @@ pub struct ChaseConfig {
     /// the `join_plan` bench. Only meaningful while
     /// `use_positional_index` is on.
     pub join_planning: bool,
-    /// Evaluate non-aggregate rules semi-naively: after the first round,
-    /// only matches involving at least one new fact are enumerated
-    /// (default). Aggregate rules always re-match fully, since their
-    /// groups fold over all contributors.
+    /// Evaluate rules semi-naively: after a rule's first evaluation, only
+    /// matches involving at least one new fact are enumerated (default).
+    /// Aggregate rules merge those matches into the groups kept from
+    /// earlier rounds and re-fold only the groups that changed. Disabling
+    /// re-matches every rule fully each round — the reference path the
+    /// equivalence tests compare against.
     pub semi_naive: bool,
     /// Worker threads for the parallel match phase. `0` (default) uses
     /// the available parallelism of the host; `1` evaluates inline
@@ -601,7 +611,10 @@ impl<'p> ChaseSession<'p> {
             }
         }
 
-        // Rebuild the engine state from the provenance.
+        // Rebuild the engine state from the provenance. Aggregate groups
+        // are not rebuilt: each aggregate rule's first evaluation after
+        // the resume re-matches fully, and `seen_derivations` drops the
+        // steps it repeats.
         let mut seen_derivations = HashSet::new();
         let mut null_counter = 0u64;
         let mut agg_current: HashMap<(RuleId, Vec<Value>), FactId> = HashMap::new();
@@ -609,12 +622,8 @@ impl<'p> ChaseSession<'p> {
             seen_derivations.insert((der.rule, der.conclusion, der.premises.clone()));
             let rule = program.rule(der.rule);
             if rule.aggregate.is_some() {
-                let group: Vec<Value> = rule
-                    .aggregate_group_vars()
-                    .iter()
-                    .filter_map(|v| der.bindings.get(v).copied())
-                    .collect();
-                agg_current.insert((der.rule, group), der.conclusion);
+                let key = group_key(&rule.aggregate_group_vars(), &der.bindings);
+                agg_current.insert((der.rule, key), der.conclusion);
             }
         }
         for (_, fact) in database.iter() {
@@ -647,6 +656,8 @@ impl<'p> ChaseSession<'p> {
             seen_derivations,
             last_seen_len,
             agg_current,
+            agg_groups: vec![None; program.len()],
+            superseded: Vec::new(),
             violations,
             initial_facts,
             report: RunReport::default(),
@@ -838,6 +849,16 @@ struct Chase<'p> {
     /// supersedes (deactivates) the previous partial fact, so downstream
     /// rules never sum a partial and a full aggregate of the same group.
     agg_current: HashMap<(RuleId, Vec<Value>), FactId>,
+    /// Per rule: the aggregate groups kept across rounds by semi-naive
+    /// evaluation. `None` until the rule's first evaluation fills it —
+    /// always `None` for non-aggregate rules, in naive mode and on the
+    /// scan path. Not part of outcomes or checkpoints: a resumed run
+    /// starts without it.
+    agg_groups: Vec<Option<AggGroups>>,
+    /// Every fact this run deactivated by aggregate supersession, in
+    /// order. Kept groups drop contributors over facts logged since their
+    /// last evaluation.
+    superseded: Vec<FactId>,
     violations: Vec<String>,
     initial_facts: usize,
     /// Telemetry accumulated over this run (fresh per run: a resumed run
@@ -918,6 +939,8 @@ impl<'p> Chase<'p> {
             seen_derivations: HashSet::new(),
             last_seen_len: vec![usize::MAX; program.len()],
             agg_current: HashMap::new(),
+            agg_groups: vec![None; program.len()],
+            superseded: Vec::new(),
             violations: Vec::new(),
             initial_facts,
             report: RunReport::default(),
@@ -1557,14 +1580,21 @@ impl<'p> Chase<'p> {
             .is_none_or(|cone| cone.includes_rule(RuleId(idx)))
     }
 
-    /// True iff `rule` is matched semi-naively (delta expansion per pivot)
-    /// at its current watermark.
-    fn is_incremental(&self, rule: &Rule, watermark: usize) -> bool {
-        self.config.semi_naive
-            && self.config.use_positional_index
+    /// True iff rule `idx` is matched semi-naively (delta expansion per
+    /// pivot) at its current watermark. An aggregate rule additionally
+    /// needs its kept groups: without them (first evaluation, resumed
+    /// run) one full match fills them.
+    fn is_incremental(&self, idx: usize, rule: &Rule, watermark: usize) -> bool {
+        self.keeps_groups()
             && watermark != usize::MAX
-            && !rule.has_aggregate()
             && !rule.is_constraint()
+            && (!rule.has_aggregate() || self.agg_groups[idx].is_some())
+    }
+
+    /// True iff this run evaluates semi-naively, and so keeps aggregate
+    /// groups across rounds.
+    fn keeps_groups(&self) -> bool {
+        self.config.semi_naive && self.config.use_positional_index
     }
 
     /// The parallel match phase: enumerates the body matches of every
@@ -1596,9 +1626,15 @@ impl<'p> Chase<'p> {
                 continue;
             }
             let parts = self.parts_for(rule, threads);
-            if self.is_incremental(rule, watermark) {
-                let n_atoms = rule.positive_body().count();
-                for pivot in 0..n_atoms {
+            if self.is_incremental(idx, rule, watermark) {
+                for (pivot, atom) in rule.positive_body().enumerate() {
+                    // A pivot atom with no fact past the watermark matches
+                    // nothing; its expansion would still walk the whole
+                    // join prefix before it.
+                    let ids = self.db.facts_of(atom.predicate);
+                    if ids.last().is_none_or(|id| (id.0 as usize) < watermark) {
+                        continue;
+                    }
                     for part in 0..parts {
                         items.push(WorkItem {
                             rule_idx: idx,
@@ -1818,7 +1854,9 @@ impl<'p> Chase<'p> {
     /// The sequential commit phase of one round. Processes the stratum's
     /// rules in rule-id order starting at `from_rule`; for each, unions
     /// the snapshot-phase matches with a top-up delta over facts committed
-    /// earlier in this round, canonicalizes, and fires.
+    /// earlier in this round, canonicalizes, and fires. Aggregate rules
+    /// merge the union into their kept groups and fire only the groups
+    /// it changed (see [`AggGroups::absorb`]).
     ///
     /// Budgets are checked *between* rule commits: a trip returns
     /// [`CommitControl::Interrupted`] with the first uncommitted rule, so
@@ -1826,8 +1864,11 @@ impl<'p> Chase<'p> {
     /// uninterrupted round. In `completion` mode (resuming such a trip)
     /// no snapshot phase ran, so each rule re-derives the full match set
     /// this round would have seen: the semi-naive delta from the rule's
-    /// own restored watermark, or — for aggregate/naive rules, whose
-    /// firing folds over *all* contributors — a full re-match.
+    /// own restored watermark, or — for naive rules and aggregate rules
+    /// without kept groups, whose firing folds over *all* contributors —
+    /// a full re-match. The same full re-match serves such an aggregate
+    /// rule when the snapshot phase skipped it: the top-up alone would
+    /// fold its groups over this round's new contributors only.
     #[allow(clippy::too_many_arguments)]
     fn commit_phase(
         &mut self,
@@ -1870,14 +1911,21 @@ impl<'p> Chase<'p> {
                 rule: rule.label.clone(),
                 source,
             };
+            let incremental = self.is_incremental(idx, rule, watermark);
             let mut metrics = MatchMetrics::default();
-            let mut matches = match phase_matches.remove(&idx) {
-                Some(result) => result.map_err(eval_err)?,
-                None => Vec::new(),
-            };
-            let phase_count = matches.len();
-            if completion {
-                matches = if self.is_incremental(rule, watermark) {
+            let phase = phase_matches.remove(&idx).transpose().map_err(eval_err)?;
+            let phase_count = phase.as_ref().map_or(0, Vec::len);
+            // An indexed rule the snapshot phase skipped (`watermark ==
+            // snapshot_len`) is left with the top-up alone, which would
+            // fold an aggregate rule without kept groups over this
+            // round's new contributors only.
+            let rederive = completion
+                || (self.config.use_positional_index
+                    && phase.is_none()
+                    && rule.has_aggregate()
+                    && !incremental);
+            let mut matches = if rederive {
+                if incremental {
                     match_body_incremental_planned(
                         &mut self.db,
                         rule,
@@ -1894,12 +1942,13 @@ impl<'p> Chase<'p> {
                         &mut metrics,
                     )
                 }
-                .map_err(eval_err)?;
+                .map_err(eval_err)?
             } else if self.config.use_positional_index {
                 // Top-up: matches touching facts committed by lower-id
                 // rules earlier in this round (ids >= the snapshot). This
                 // restores sequential intra-round visibility; it is empty
                 // whenever no earlier rule fired.
+                let mut matches = phase.unwrap_or_default();
                 let topup_from = if watermark == usize::MAX {
                     snapshot_len
                 } else {
@@ -1917,36 +1966,26 @@ impl<'p> Chase<'p> {
                         .map_err(eval_err)?,
                     );
                 }
+                matches
             } else {
                 // Index-free ablation baseline: plain sequential
                 // re-matching at the rule's turn, as in the original
                 // engine.
-                matches = match_body_with_metered(&mut self.db, rule, false, &mut metrics)
-                    .map_err(eval_err)?;
-            }
+                match_body_with_metered(&mut self.db, rule, false, &mut metrics)
+                    .map_err(eval_err)?
+            };
             {
                 // Snapshot-phase matches were already counted at merge
-                // time; attribute only what this phase added (completion
-                // and ablation replace the — empty — phase set outright).
-                let newly_enumerated = matches.len().saturating_sub(if completion {
-                    0
-                } else if self.config.use_positional_index {
-                    phase_count
-                } else {
-                    0
-                }) as u64;
+                // time; attribute only what this phase added.
                 let stats = &mut self.report.rules[idx];
                 stats.index_probes += metrics.index_probes;
                 stats.scans += metrics.scans;
                 stats.composite_probes += metrics.composite_probes;
                 stats.negation_probes += metrics.negation_probes;
                 stats.negation_scans += metrics.negation_scans;
-                stats.matches_enumerated += newly_enumerated;
+                stats.matches_enumerated += (matches.len() - phase_count) as u64;
             }
             self.last_seen_len[idx] = current_len;
-            if matches.is_empty() {
-                continue;
-            }
 
             // Canonicalize: drop matches over facts superseded by an
             // earlier commit of this round, order by premise-id vector
@@ -1955,23 +1994,26 @@ impl<'p> Chase<'p> {
             matches.retain(|m| m.premises.iter().all(|&p| self.db.is_active(p)));
             matches.sort_by(|a, b| a.premises.cmp(&b.premises));
             matches.dedup_by(|a, b| a.premises == b.premises);
-            if matches.is_empty() {
-                continue;
-            }
 
-            changed |= self.apply_matches(rule_id, rule, matches, round)?;
+            if rule.has_aggregate() && !rule.is_constraint() {
+                // Runs even without new matches: a kept group may have
+                // lost a contributor to supersession.
+                changed |= self.commit_aggregate(idx, rule, matches, incremental, round)?;
+            } else if !matches.is_empty() {
+                changed |= self.apply_matches(rule_id, rule, &matches, round)?;
+            }
         }
         Ok(CommitControl::Completed { changed })
     }
 
-    /// Commits one rule's canonicalized matches: constraint handling,
-    /// aggregate grouping, then one chase step per match/group. Returns
-    /// true if any new fact was added.
+    /// Commits one rule's canonicalized matches: constraint handling or
+    /// one chase step per match. Returns true if any new fact was added.
+    /// Aggregate rules commit through [`Chase::commit_aggregate`].
     fn apply_matches(
         &mut self,
         rule_id: RuleId,
         rule: &Rule,
-        matches: Vec<BodyMatch>,
+        matches: &[BodyMatch],
         round: u32,
     ) -> Result<bool, ChaseError> {
         if rule.is_constraint() {
@@ -1987,58 +2029,81 @@ impl<'p> Chase<'p> {
         }
 
         let mut changed = false;
-        if rule.aggregate.is_some() {
-            let t = self.timer();
-            let groups = group_matches(rule, &matches).map_err(|source| ChaseError::Eval {
-                rule: rule.label.clone(),
-                source,
-            })?;
-            self.report.timings.aggregate_ns += lap(t);
-            for group in groups {
-                changed |= self
-                    .fire(
-                        rule_id,
-                        rule,
-                        &group.bindings,
-                        group.premises,
-                        group.contributor_bindings,
-                        round,
-                    )
-                    .map_err(|source| ChaseError::Eval {
-                        rule: rule.label.clone(),
-                        source,
-                    })?;
-            }
+        for m in matches {
+            changed |= self
+                .fire(rule_id, rule, &m.bindings, m.premises.clone(), None, round)
+                .map_err(|source| ChaseError::Eval {
+                    rule: rule.label.clone(),
+                    source,
+                })?;
+        }
+        Ok(changed)
+    }
+
+    /// Commits aggregate rule `idx`: merges its canonicalized `delta`
+    /// matches into the kept groups (fresh groups unless `incremental`),
+    /// then folds and fires every group that changed, in firing order.
+    /// Returns true if any new fact was added.
+    fn commit_aggregate(
+        &mut self,
+        idx: usize,
+        rule: &Rule,
+        delta: Vec<BodyMatch>,
+        incremental: bool,
+        round: u32,
+    ) -> Result<bool, ChaseError> {
+        let eval_err = |source| ChaseError::Eval {
+            rule: rule.label.clone(),
+            source,
+        };
+        let t = self.timer();
+        let mut groups = if incremental {
+            self.agg_groups[idx]
+                .take()
+                .expect("an incremental aggregate rule keeps its groups")
         } else {
-            for m in &matches {
-                changed |= self
-                    .fire(
-                        rule_id,
-                        rule,
-                        &m.bindings,
-                        m.premises.clone(),
-                        Vec::new(),
-                        round,
-                    )
-                    .map_err(|source| ChaseError::Eval {
-                        rule: rule.label.clone(),
-                        source,
-                    })?;
+            AggGroups::default()
+        };
+        let folder = GroupFolder::new(rule);
+        let mut folded = Vec::new();
+        for (key, members) in
+            groups.absorb(rule, &folder.group_vars, delta, &self.db, &self.superseded)
+        {
+            if let Some(group) = folder.fold(key, members).map_err(eval_err)? {
+                folded.push(group);
             }
+        }
+        if self.keeps_groups() {
+            self.agg_groups[idx] = Some(groups);
+        }
+        self.report.timings.aggregate_ns += lap(t);
+        let mut changed = false;
+        for group in folded {
+            changed |= self
+                .fire(
+                    RuleId(idx),
+                    rule,
+                    &group.bindings,
+                    group.premises,
+                    Some((group.key, group.contributor_bindings)),
+                    round,
+                )
+                .map_err(eval_err)?;
         }
         Ok(changed)
     }
 
     /// Fires one chase step: instantiates the head, handles existentials
     /// with the restricted-chase satisfaction check, inserts the fact and
-    /// records the derivation.
+    /// records the derivation. Aggregate steps pass their `group`: its
+    /// key (see [`group_key`]) and the bindings of its contributors.
     fn fire(
         &mut self,
         rule_id: RuleId,
         rule: &Rule,
         bindings: &Bindings,
         premises: Vec<FactId>,
-        contributor_bindings: Vec<Bindings>,
+        group: Option<(Vec<Value>, Vec<Bindings>)>,
         round: u32,
     ) -> Result<bool, EvalError> {
         let Head::Atom(head) = &rule.head else {
@@ -2123,18 +2188,18 @@ impl<'p> Chase<'p> {
 
         // Monotonic-aggregate supersession: the new aggregate fact of a
         // group replaces (deactivates) the group's previous fact.
-        if rule.aggregate.is_some() {
-            let group: Vec<Value> = rule
-                .aggregate_group_vars()
-                .iter()
-                .filter_map(|v| bindings.get(v).copied())
-                .collect();
-            if let Some(prev) = self.agg_current.insert((rule_id, group), fact_id) {
-                if prev != fact_id {
-                    self.db.deactivate(prev);
+        let contributor_bindings = match group {
+            Some((key, contributor_bindings)) => {
+                if let Some(prev) = self.agg_current.insert((rule_id, key), fact_id) {
+                    if prev != fact_id && self.db.is_active(prev) {
+                        self.db.deactivate(prev);
+                        self.superseded.push(prev);
+                    }
                 }
+                contributor_bindings
             }
-        }
+            None => Vec::new(),
+        };
         let contributors = contributor_bindings.len().max(1) as u32;
         self.graph.record(Derivation {
             rule: rule_id,
@@ -2153,98 +2218,205 @@ impl<'p> Chase<'p> {
     }
 }
 
-/// One aggregated group: the head bindings (group key plus aggregate
-/// result), the union of contributing premises, and the per-contributor
-/// match bindings.
+/// One folded group: its key, the head bindings (bound key plus
+/// aggregate result), the union of contributing premises, and the
+/// per-contributor match bindings.
 struct AggGroup {
+    key: Vec<Value>,
     bindings: Bindings,
     premises: Vec<FactId>,
     contributor_bindings: Vec<Bindings>,
 }
 
-/// Groups matches by the head variables other than the aggregate result
-/// and folds the aggregate, checking post-aggregate conditions.
-fn group_matches(rule: &Rule, matches: &[BodyMatch]) -> Result<Vec<AggGroup>, EvalError> {
-    let agg = rule.aggregate.as_ref().expect("aggregate rule");
-    if rule.head.atom().is_none() {
-        return Ok(Vec::new());
-    }
+/// The group key of an aggregate match or step: the bound part of
+/// `bindings` over `group_vars` ([`Rule::aggregate_group_vars`]), in that
+/// order. Existential head variables are never bound, so they drop out
+/// and the key is the group's bound head part. Grouping, supersession
+/// and the resume rebuild all key groups by it.
+fn group_key(group_vars: &[Symbol], bindings: &Bindings) -> Vec<Value> {
+    group_vars
+        .iter()
+        .filter_map(|v| bindings.get(v).copied())
+        .collect()
+}
 
-    // Group key: head variables except the aggregate result, plus body
-    // variables referenced by post-aggregate conditions (see
-    // `Rule::aggregate_group_vars`).
-    let key_vars: Vec<Symbol> = rule.aggregate_group_vars();
+/// The groups of one aggregate rule: per group key, the contributing
+/// matches ordered by premise vector. Semi-naive evaluation keeps them
+/// for the length of a run and merges each round's delta matches in;
+/// other evaluations build them afresh from a full match.
+#[derive(Clone, Default)]
+struct AggGroups {
+    groups: HashMap<Vec<Value>, Members>,
+    /// Number of [`AggGroups::absorb`] calls so far: stamps the groups
+    /// each call changes.
+    absorbed: u64,
+    /// Length of the engine's supersession log at the last absorb:
+    /// entries past it may invalidate members.
+    superseded_seen: usize,
+}
 
-    // Deterministic grouping: preserve first-seen group order.
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (i, m) in matches.iter().enumerate() {
-        let key: Option<Vec<Value>> = key_vars
-            .iter()
-            .map(|v| m.bindings.get(v).copied())
-            .collect();
-        // A key variable may be unbound only if it is existential; such
-        // rules (aggregate + existential group key) group everything
-        // together per distinct bound part.
-        let key = key.unwrap_or_default();
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            Vec::new()
-        });
-        entry.push(i);
-    }
+/// The members of one group, and the absorb call that last changed them.
+#[derive(Clone)]
+struct Members {
+    matches: Vec<BodyMatch>,
+    changed_at: u64,
+}
 
-    let mut out = Vec::new();
-    for key in order {
-        let idxs = &groups[&key];
-        // Fold the aggregate over each distinct contributing match.
-        let mut inputs = Vec::with_capacity(idxs.len());
-        for &i in idxs {
-            inputs.push(agg.input.eval(&matches[i].bindings)?);
-        }
-        let value = fold_aggregate(agg.func, &inputs)?;
-
-        let mut bindings = Bindings::new();
-        for (v, val) in key_vars.iter().zip(&key) {
-            bindings.insert(*v, *val);
-        }
-        bindings.insert(agg.result, value);
-
-        // Post-aggregate conditions.
-        let mut ok = true;
-        for c in &rule.conditions {
-            let mut vars = Vec::new();
-            c.collect_vars(&mut vars);
-            if vars.contains(&agg.result) {
-                // The condition may also mention group-key variables (all
-                // bound); other body variables are out of scope post-
-                // aggregation and yield an error, which validation of
-                // reasonable programs prevents.
-                if !c.holds(&bindings)? {
-                    ok = false;
-                    break;
+impl AggGroups {
+    /// Brings the groups up to date for one evaluation and returns the
+    /// groups to re-fold with their members, in firing order.
+    ///
+    /// Members over a fact superseded since the last evaluation drop out
+    /// (a full re-match would no longer find them); then `delta` —
+    /// canonical: active, sorted and deduplicated, and disjoint from the
+    /// members, since each match touches a fact newer than every member
+    /// — is merged in. A group is re-folded iff it gained or lost a
+    /// member; the others would re-derive their last step. Groups fire
+    /// in the order of their smallest premise vector, the order a full
+    /// re-match fires them in; groups left empty are dropped unfired.
+    fn absorb(
+        &mut self,
+        rule: &Rule,
+        group_vars: &[Symbol],
+        delta: Vec<BodyMatch>,
+        db: &Database,
+        superseded: &[FactId],
+    ) -> Vec<(&Vec<Value>, &[BodyMatch])> {
+        self.absorbed += 1;
+        let stamp = self.absorbed;
+        let mut changed: Vec<Vec<Value>> = Vec::new();
+        let touches_body = !self.groups.is_empty()
+            && superseded[self.superseded_seen..].iter().any(|&f| {
+                let pred = db.fact(f).predicate;
+                rule.positive_body().any(|atom| atom.predicate == pred)
+            });
+        self.superseded_seen = superseded.len();
+        if touches_body {
+            for (key, members) in &mut self.groups {
+                let before = members.matches.len();
+                members
+                    .matches
+                    .retain(|m| m.premises.iter().all(|&p| db.is_active(p)));
+                if members.matches.len() != before {
+                    members.changed_at = stamp;
+                    changed.push(key.clone());
                 }
             }
         }
-        if !ok {
-            continue;
+        for m in delta {
+            match self.groups.entry(group_key(group_vars, &m.bindings)) {
+                Entry::Occupied(mut e) => {
+                    if e.get().changed_at != stamp {
+                        e.get_mut().changed_at = stamp;
+                        changed.push(e.key().clone());
+                    }
+                    e.get_mut().matches.push(m);
+                }
+                Entry::Vacant(e) => {
+                    changed.push(e.key().clone());
+                    e.insert(Members {
+                        matches: vec![m],
+                        changed_at: stamp,
+                    });
+                }
+            }
+        }
+        changed.retain(|key| {
+            let members = self.groups.get_mut(key).expect("changed groups exist");
+            if members.matches.is_empty() {
+                self.groups.remove(key);
+                return false;
+            }
+            // Members and delta are each sorted: this merges two runs.
+            members.matches.sort_by(|a, b| a.premises.cmp(&b.premises));
+            true
+        });
+        let mut order: Vec<(&Vec<Value>, &[BodyMatch])> = changed
+            .iter()
+            .map(|key| {
+                let (key, members) = self
+                    .groups
+                    .get_key_value(key)
+                    .expect("changed groups exist");
+                (key, members.matches.as_slice())
+            })
+            .collect();
+        order.sort_unstable_by(|a, b| a.1[0].premises.cmp(&b.1[0].premises));
+        order
+    }
+}
+
+/// What folding a group needs to know of its rule, resolved once per
+/// evaluation.
+struct GroupFolder<'r> {
+    agg: &'r crate::rule::Aggregate,
+    /// [`Rule::aggregate_group_vars`].
+    group_vars: Vec<Symbol>,
+    /// The conditions over the aggregate result, checked after the fold.
+    /// They may also mention group-key variables (all bound); other body
+    /// variables are out of scope post-aggregation and yield an error,
+    /// which validation of reasonable programs prevents.
+    post_conditions: Vec<&'r crate::expr::Condition>,
+}
+
+impl<'r> GroupFolder<'r> {
+    fn new(rule: &'r Rule) -> GroupFolder<'r> {
+        let agg = rule.aggregate.as_ref().expect("aggregate rule");
+        let post_conditions = rule
+            .conditions
+            .iter()
+            .filter(|c| {
+                let mut vars = Vec::new();
+                c.collect_vars(&mut vars);
+                vars.contains(&agg.result)
+            })
+            .collect();
+        GroupFolder {
+            agg,
+            group_vars: rule.aggregate_group_vars(),
+            post_conditions,
+        }
+    }
+
+    /// Folds one group's members (non-empty, in premise order) into its
+    /// step: the bound key plus the aggregate result, the union of the
+    /// members' premises and their bindings. `None` when a post-aggregate
+    /// condition rejects the result.
+    fn fold(&self, key: &[Value], members: &[BodyMatch]) -> Result<Option<AggGroup>, EvalError> {
+        let mut inputs = Vec::with_capacity(members.len());
+        for m in members {
+            inputs.push(self.agg.input.eval(&m.bindings)?);
+        }
+        let value = fold_aggregate(self.agg.func, &inputs)?;
+
+        let mut bindings = Bindings::with_capacity(self.group_vars.len() + 1);
+        for v in &self.group_vars {
+            if let Some(val) = members[0].bindings.get(v) {
+                bindings.insert(*v, *val);
+            }
+        }
+        bindings.insert(self.agg.result, value);
+        for c in &self.post_conditions {
+            if !c.holds(&bindings)? {
+                return Ok(None);
+            }
         }
 
         let mut premises: Vec<FactId> = Vec::new();
-        for &i in idxs {
-            for &p in &matches[i].premises {
+        for m in members {
+            for &p in &m.premises {
                 if !premises.contains(&p) {
                     premises.push(p);
                 }
             }
         }
-        out.push(AggGroup {
+        Ok(Some(AggGroup {
+            key: key.to_vec(),
             bindings,
             premises,
-            contributor_bindings: idxs.iter().map(|&i| matches[i].bindings.clone()).collect(),
-        });
+            contributor_bindings: members.iter().map(|m| m.bindings.clone()).collect(),
+        }))
     }
-    Ok(out)
 }
 
 /// Folds an aggregate function over the contributed values.
@@ -3101,6 +3273,84 @@ mod aggregate_supersession_tests {
             .database
             .contains(&Fact::new("default", vec!["C".into()])));
     }
+
+    /// Regression: an aggregate rule with an existential head variable
+    /// next to a bound key variable groups by the bound part of its key.
+    /// Matches used to collapse into one group that lost `x`, failing the
+    /// run with `unbound variable x`.
+    #[test]
+    fn existential_heads_group_by_their_bound_key() {
+        let parsed = parse_program(
+            r#"
+            r: p(x, y), c = count(y) -> q(x, c, z).
+            p("a", 1). p("a", 2). p("b", 3).
+        "#,
+        )
+        .unwrap();
+        for threads in [1, 2, 8] {
+            let db: Database = parsed.facts.iter().cloned().collect();
+            let out = ChaseSession::new(&parsed.program)
+                .with_threads(threads)
+                .run(db)
+                .unwrap();
+            let q: Vec<&Fact> = out.facts_of("q").into_iter().map(|(_, f)| f).collect();
+            assert_eq!(q.len(), 2, "threads={threads}");
+            assert_eq!(q[0].values[..2], [Value::str("a"), Value::Int(2)]);
+            assert_eq!(q[1].values[..2], [Value::str("b"), Value::Int(1)]);
+            let (Value::Null(n1), Value::Null(n2)) = (q[0].values[2], q[1].values[2]) else {
+                panic!("threads={threads}: existential positions hold nulls: {q:?}");
+            };
+            assert_ne!(n1, n2, "threads={threads}: one null per group");
+        }
+    }
+
+    /// Regression: an aggregate rule that adds nothing in one round and
+    /// then sees new matches only through the commit-phase top-up (its
+    /// snapshot phase is skipped) must still fold over every contributor.
+    /// Folding the top-up alone superseded `tot("a", 1)` by the partial
+    /// `tot("a", 0)`, and the repair round left neither active.
+    #[test]
+    fn topup_only_rounds_fold_every_contributor() {
+        let parsed = parse_program(
+            r#"
+            r1: e(x, y, w) -> path(x, y, w).
+            r2: path(x, z, w), e(z, y, v) -> path(x, y, v).
+            r3: path(x, y, w), s = sum(w) -> tot(x, s).
+            e("a", "b", 1). e("b", "c", 0). e("c", "d", 0). e("d", "f", 0). e("f", "g", 0).
+        "#,
+        )
+        .unwrap();
+        let run = |config: ChaseConfig| {
+            let db: Database = parsed.facts.iter().cloned().collect();
+            ChaseSession::new(&parsed.program)
+                .with_config(config)
+                .run(db)
+                .unwrap()
+        };
+        let tot = |out: &ChaseOutcome| -> Vec<String> {
+            out.facts_of("tot")
+                .into_iter()
+                .filter(|(id, _)| out.database.is_active(*id))
+                .map(|(_, f)| f.to_string())
+                .collect()
+        };
+        let expected = [
+            r#"tot("a",1)"#,
+            r#"tot("b",0)"#,
+            r#"tot("c",0)"#,
+            r#"tot("d",0)"#,
+            r#"tot("f",0)"#,
+        ];
+        for config in [
+            ChaseConfig::default().with_positional_index(true),
+            ChaseConfig::default()
+                .with_positional_index(true)
+                .with_semi_naive(false),
+            ChaseConfig::default().with_positional_index(false),
+        ] {
+            assert_eq!(tot(&run(config.clone())), expected, "{config:?}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -3345,8 +3595,9 @@ mod governance_tests {
         // r2: b(x) -> c(x).        fires twice via the round-1 top-up.
         // r3: c(x), n = count(x) -> total(n).
         //   round 1: aggregates both c facts (top-up) -> total(2);
-        //   round 2: full re-match (aggregate rule) re-derives total(2),
-        //   pre-empted as a duplicate.
+        //   round 2: the semi-naive delta past r3's watermark holds only
+        //   total(2), so no match reaches the kept group and nothing
+        //   fires.
         let program = parse_program(
             "r1: a(x) -> b(x).
              r2: b(x) -> c(x).
@@ -3380,11 +3631,10 @@ mod governance_tests {
         assert_eq!((r1.facts_committed, r1.duplicates_preempted), (2, 0));
         assert_eq!((r2.matches_enumerated, r2.firings), (2, 2));
         assert_eq!((r2.facts_committed, r2.duplicates_preempted), (2, 0));
-        // r3: 2 top-up matches in round 1, 2 full-rematch matches in
-        // round 2; one firing per round; the round-2 aggregate is a
-        // duplicate.
-        assert_eq!((r3.matches_enumerated, r3.firings), (4, 2));
-        assert_eq!((r3.facts_committed, r3.duplicates_preempted), (1, 1));
+        // r3: 2 top-up matches in round 1 and none in round 2; one
+        // firing, no duplicate.
+        assert_eq!((r3.matches_enumerated, r3.firings), (2, 1));
+        assert_eq!((r3.facts_committed, r3.duplicates_preempted), (1, 0));
         assert_eq!(r3.isomorphism_checks, 0);
 
         assert_eq!(report.rounds_log.len(), 2);
@@ -3392,7 +3642,7 @@ mod governance_tests {
         assert_eq!(report.rounds_log[0].facts_end, 7);
         assert_eq!(report.rounds_log[0].matches, 6);
         assert_eq!(report.rounds_log[1].facts_committed, 0);
-        assert_eq!(report.rounds_log[1].matches, 2);
+        assert_eq!(report.rounds_log[1].matches, 0);
         assert_eq!(report.peak.facts, 7);
         assert_eq!(report.peak.derivations, 5);
         assert!(report.peak.approx_bytes > 0);

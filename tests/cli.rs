@@ -3,10 +3,14 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Writes the demo program to a file of its own: tests run in parallel,
+/// and one rewriting a shared file could truncate it under another's read.
 fn write_demo() -> PathBuf {
-    let dir = std::env::temp_dir();
-    let path = dir.join("ekg_explain_cli_demo.vada");
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("ekg_explain_cli_demo_{n}.vada"));
     std::fs::write(
         &path,
         r#"
