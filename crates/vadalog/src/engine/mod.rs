@@ -12,7 +12,11 @@
 //! merges in the delta matches of each round and re-folds only the groups
 //! that gained a contributor or lost one to supersession. A group whose
 //! contributors did not change would re-derive a known step, so skipping
-//! it changes no fact, id or derivation.
+//! it changes no fact, id or derivation. Aggregate rules with an
+//! existential head variable are the exception and re-match fully every
+//! round: the restricted-chase check may have pre-empted a group's step by
+//! a fact that is superseded later, and then the unchanged group fires
+//! anew.
 //!
 //! # Parallel matching, sequential commit
 //!
@@ -115,7 +119,8 @@ pub struct ChaseConfig {
     /// Evaluate rules semi-naively: after a rule's first evaluation, only
     /// matches involving at least one new fact are enumerated (default).
     /// Aggregate rules merge those matches into the groups kept from
-    /// earlier rounds and re-fold only the groups that changed. Disabling
+    /// earlier rounds and re-fold only the groups that changed; those
+    /// with an existential head variable still re-match fully. Disabling
     /// re-matches every rule fully each round — the reference path the
     /// equivalence tests compare against.
     pub semi_naive: bool,
@@ -657,7 +662,6 @@ impl<'p> ChaseSession<'p> {
             last_seen_len,
             agg_current,
             agg_groups: vec![None; program.len()],
-            superseded: Vec::new(),
             violations,
             initial_facts,
             report: RunReport::default(),
@@ -850,15 +854,11 @@ struct Chase<'p> {
     /// rules never sum a partial and a full aggregate of the same group.
     agg_current: HashMap<(RuleId, Vec<Value>), FactId>,
     /// Per rule: the aggregate groups kept across rounds by semi-naive
-    /// evaluation. `None` until the rule's first evaluation fills it —
-    /// always `None` for non-aggregate rules, in naive mode and on the
-    /// scan path. Not part of outcomes or checkpoints: a resumed run
-    /// starts without it.
+    /// evaluation. `None` until the rule's first evaluation fills it, and
+    /// always for rules that keep no groups (see [`Chase::keeps_groups`]).
+    /// Not part of outcomes or checkpoints: a resumed run starts without
+    /// it.
     agg_groups: Vec<Option<AggGroups>>,
-    /// Every fact this run deactivated by aggregate supersession, in
-    /// order. Kept groups drop contributors over facts logged since their
-    /// last evaluation.
-    superseded: Vec<FactId>,
     violations: Vec<String>,
     initial_facts: usize,
     /// Telemetry accumulated over this run (fresh per run: a resumed run
@@ -940,7 +940,6 @@ impl<'p> Chase<'p> {
             last_seen_len: vec![usize::MAX; program.len()],
             agg_current: HashMap::new(),
             agg_groups: vec![None; program.len()],
-            superseded: Vec::new(),
             violations: Vec::new(),
             initial_facts,
             report: RunReport::default(),
@@ -1583,18 +1582,26 @@ impl<'p> Chase<'p> {
     /// True iff rule `idx` is matched semi-naively (delta expansion per
     /// pivot) at its current watermark. An aggregate rule additionally
     /// needs its kept groups: without them (first evaluation, resumed
-    /// run) one full match fills them.
+    /// run, a rule that keeps none) one full match folds every group.
     fn is_incremental(&self, idx: usize, rule: &Rule, watermark: usize) -> bool {
-        self.keeps_groups()
+        self.config.semi_naive
+            && self.config.use_positional_index
             && watermark != usize::MAX
             && !rule.is_constraint()
             && (!rule.has_aggregate() || self.agg_groups[idx].is_some())
     }
 
-    /// True iff this run evaluates semi-naively, and so keeps aggregate
-    /// groups across rounds.
-    fn keeps_groups(&self) -> bool {
-        self.config.semi_naive && self.config.use_positional_index
+    /// True iff aggregate rule `rule` keeps its groups across rounds:
+    /// under semi-naive evaluation, unless its head has an existential
+    /// variable. Skipping an unchanged group is a no-op only if its last
+    /// step reached `seen_derivations`. With an existential head the
+    /// restricted-chase check may have pre-empted that step by a fact of
+    /// another group or rule; once that fact is superseded, a full
+    /// re-match fires the unchanged group again and derives a fresh fact.
+    fn keeps_groups(&self, rule: &Rule) -> bool {
+        self.config.semi_naive
+            && self.config.use_positional_index
+            && rule.existential_variables().is_empty()
     }
 
     /// The parallel match phase: enumerates the body matches of every
@@ -2066,14 +2073,12 @@ impl<'p> Chase<'p> {
         };
         let folder = GroupFolder::new(rule);
         let mut folded = Vec::new();
-        for (key, members) in
-            groups.absorb(rule, &folder.group_vars, delta, &self.db, &self.superseded)
-        {
+        for (key, members) in groups.absorb(rule, &folder.group_vars, delta, &self.db) {
             if let Some(group) = folder.fold(key, members).map_err(eval_err)? {
                 folded.push(group);
             }
         }
-        if self.keeps_groups() {
+        if self.keeps_groups(rule) {
             self.agg_groups[idx] = Some(groups);
         }
         self.report.timings.aggregate_ns += lap(t);
@@ -2193,7 +2198,6 @@ impl<'p> Chase<'p> {
                 if let Some(prev) = self.agg_current.insert((rule_id, key), fact_id) {
                     if prev != fact_id && self.db.is_active(prev) {
                         self.db.deactivate(prev);
-                        self.superseded.push(prev);
                     }
                 }
                 contributor_bindings
@@ -2242,17 +2246,19 @@ fn group_key(group_vars: &[Symbol], bindings: &Bindings) -> Vec<Value> {
 
 /// The groups of one aggregate rule: per group key, the contributing
 /// matches ordered by premise vector. Semi-naive evaluation keeps them
-/// for the length of a run and merges each round's delta matches in;
-/// other evaluations build them afresh from a full match.
+/// for the length of a run and merges each round's delta matches in
+/// (see [`Chase::keeps_groups`]); otherwise every evaluation builds them
+/// afresh from a full match.
 #[derive(Clone, Default)]
 struct AggGroups {
     groups: HashMap<Vec<Value>, Members>,
     /// Number of [`AggGroups::absorb`] calls so far: stamps the groups
     /// each call changes.
     absorbed: u64,
-    /// Length of the engine's supersession log at the last absorb:
-    /// entries past it may invalidate members.
-    superseded_seen: usize,
+    /// Inactive facts of the rule's body predicates at the last absorb.
+    /// Deactivation is permanent, so while the count stands still every
+    /// member is still active.
+    inactive_seen: usize,
 }
 
 /// The members of one group, and the absorb call that last changed them.
@@ -2266,12 +2272,14 @@ impl AggGroups {
     /// Brings the groups up to date for one evaluation and returns the
     /// groups to re-fold with their members, in firing order.
     ///
-    /// Members over a fact superseded since the last evaluation drop out
+    /// Members over a fact deactivated since the last evaluation drop out
     /// (a full re-match would no longer find them); then `delta` —
     /// canonical: active, sorted and deduplicated, and disjoint from the
     /// members, since each match touches a fact newer than every member
     /// — is merged in. A group is re-folded iff it gained or lost a
-    /// member; the others would re-derive their last step. Groups fire
+    /// member; in a rule that keeps its groups (see
+    /// [`Chase::keeps_groups`]) the others would re-derive their last
+    /// step. Groups fire
     /// in the order of their smallest premise vector, the order a full
     /// re-match fires them in; groups left empty are dropped unfired.
     fn absorb(
@@ -2280,18 +2288,16 @@ impl AggGroups {
         group_vars: &[Symbol],
         delta: Vec<BodyMatch>,
         db: &Database,
-        superseded: &[FactId],
     ) -> Vec<(&Vec<Value>, &[BodyMatch])> {
         self.absorbed += 1;
         let stamp = self.absorbed;
         let mut changed: Vec<Vec<Value>> = Vec::new();
-        let touches_body = !self.groups.is_empty()
-            && superseded[self.superseded_seen..].iter().any(|&f| {
-                let pred = db.fact(f).predicate;
-                rule.positive_body().any(|atom| atom.predicate == pred)
-            });
-        self.superseded_seen = superseded.len();
-        if touches_body {
+        let inactive: usize = rule
+            .positive_body()
+            .map(|atom| db.facts_of(atom.predicate).len() - db.active_count(atom.predicate))
+            .sum();
+        if inactive != self.inactive_seen {
+            self.inactive_seen = inactive;
             for (key, members) in &mut self.groups {
                 let before = members.matches.len();
                 members

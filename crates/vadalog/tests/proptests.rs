@@ -296,13 +296,60 @@ fn semi_naive_refolds_groups_that_only_lose_contributors() {
     assert!(out.database.is_active(small(1)));
 }
 
+/// Aggregate groups whose step the restricted-chase check pre-empted by a
+/// fact that is superseded later. The group itself never changes, yet the
+/// full re-match fires it again and derives a fresh fact, so skipping
+/// unchanged groups would leave its aggregate without an active fact.
+/// First shape: `r2`'s step `q(3, _)` is pre-empted by `r1`'s, which a
+/// later `b(4)` re-folds from 3 to 7. Second shape, within one rule: the
+/// groups `y = 0` and `y = 1` differ only in a post-condition variable
+/// outside the head, and `e("a", 0, 4)` re-folds the first from 3 to 7.
+#[test]
+fn semi_naive_refires_groups_preempted_by_a_superseded_fact() {
+    let programs = [
+        r#"
+        r1: b(v), t = sum(v) -> q(t, z).
+        r2: a(v), s = sum(v) -> q(s, z).
+        x2: d(v) -> b(v).
+        x1: c(v) -> d(v).
+        b(3). a(3). c(4).
+    "#,
+        r#"
+        r: p(x, y, v), s = sum(v), s > y -> q(x, s, z).
+        c: e(x, y, v) -> p(x, y, v).
+        p("a", 0, 3). p("a", 1, 3). e("a", 0, 4).
+    "#,
+    ];
+    for source in programs {
+        let parsed = parse_program(source).unwrap();
+        let build = || parsed.facts.iter().cloned().collect::<Database>();
+        assert_semi_naive_equals_naive(&parsed.program, build);
+
+        let out = ChaseSession::new(&parsed.program)
+            .with_config(ChaseConfig::default().with_positional_index(true))
+            .run(build())
+            .unwrap();
+        let q = Symbol::new("q");
+        let mut sums: Vec<Value> = out
+            .database
+            .iter()
+            .filter(|(id, f)| f.predicate == q && out.database.is_active(*id))
+            .map(|(_, f)| f.values[f.values.len() - 2])
+            .collect();
+        sums.sort_by_key(|v| v.to_string());
+        assert_eq!(sums, [Value::Int(3), Value::Int(7)], "{source}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Semi-naive evaluation is bitwise identical to naive re-evaluation
     /// — fact ids, liveness, derivations with their rounds and
     /// contributor order — on recursive programs with aggregation and
-    /// negation, at any thread count.
+    /// negation, at any thread count. `o6` and `o7` share an existential
+    /// head, so a step of `o6` can pre-empt one of `o7` until a re-fold
+    /// of `o6` supersedes it.
     #[test]
     fn semi_naive_equals_naive(
         inputs in prop::collection::vec((0u8..10, 0u8..10, 30u8..100), 0..18),
@@ -312,7 +359,9 @@ proptest! {
              o2: company(x) -> control(x, x).
              o3: control(x, z), own(z, y, s), ts = sum(s), ts > 0.5 -> control(x, y).
              o4: company(x), not controlled(x) -> top(x).
-             o5: control(x, y), x != y -> controlled(y).",
+             o5: control(x, y), x != y -> controlled(y).
+             o6: control(x, y), t = count(y) -> reach(x, t, n).
+             o7: own(x, y, s), t = count(y) -> reach(x, t, n).",
         )
         .unwrap()
         .program;
