@@ -9,8 +9,8 @@
 //!    spine-only covering.
 //! 4. **User-model sensitivity**: comprehension accuracy as the simulated
 //!    reader's slip probability varies (the study's robustness).
-//! 5. **Positional indexes**: chase wall-time with and without the fact
-//!    store's lazy positional indexes.
+//! 5. **Semi-naive evaluation**: chase wall-time with and without delta
+//!    evaluation.
 
 use explain::{ExplanationPipeline, TemplateFlavor};
 use finkg::apps::control;
@@ -23,7 +23,6 @@ fn main() {
     ablation_policy();
     ablation_flavor();
     ablation_sensitivity();
-    ablation_index();
     ablation_semi_naive();
 }
 
@@ -155,39 +154,6 @@ fn ablation_semi_naive() {
             println!(
                 "  {name}: semi-naive {}  -> {:>8.2} ms ({} derived facts)",
                 if semi_naive { "on " } else { "off" },
-                dt.as_secs_f64() * 1e3,
-                out.derived_facts
-            );
-        }
-    }
-}
-
-/// Positional index on/off: chase wall-time on random networks.
-fn ablation_index() {
-    println!("== Ablation 4: positional indexes (chase wall-time) ==");
-    for (name, program, db) in [
-        (
-            "company control, 300 companies",
-            control::program(),
-            finkg::random_ownership(300, 3, 7),
-        ),
-        (
-            "stress test, 300 entities",
-            finkg::apps::stress::program(),
-            finkg::random_debt_network(300, 3, 5, 7),
-        ),
-    ] {
-        for use_index in [true, false] {
-            let cfg = ChaseConfig::default().with_positional_index(use_index);
-            let t0 = std::time::Instant::now();
-            let out = ChaseSession::new(&program)
-                .with_config(cfg)
-                .run(db.clone())
-                .expect("chase");
-            let dt = t0.elapsed();
-            println!(
-                "  {name}: index {}  -> {:>8.2} ms ({} derived facts)",
-                if use_index { "on " } else { "off" },
                 dt.as_secs_f64() * 1e3,
                 out.derived_facts
             );

@@ -828,33 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_builds_share_one_edition_and_run_analysis_once() {
-        let parsed = reach_program();
-        let runs = vadalog::obs::metrics::global().counter(
-            "vadalog_explain_analysis_runs_total",
-            "Structural analyses actually executed (cache misses and uncached builds).",
-        );
-        let before = runs.get();
-        let a = ProgramArtifacts::builder(parsed.program.clone(), "reach")
-            .build_cached()
-            .unwrap();
-        let b = ProgramArtifacts::builder(parsed.program.clone(), "reach")
-            .build_cached()
-            .unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "cache hit must share the edition");
-        assert_eq!(runs.get() - before, 1, "analysis must run exactly once");
-        // A different analysis configuration is a different deployment.
-        let c = ProgramArtifacts::builder(parsed.program, "reach")
-            .with_analysis_config(AnalysisConfig {
-                max_path_rules: 8,
-                max_paths: 2048,
-            })
-            .build_cached()
-            .unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
-    }
-
-    #[test]
     fn fingerprint_separates_programs_goals_and_configs() {
         let parsed = reach_program();
         let base = ProgramArtifacts::builder(parsed.program.clone(), "reach")

@@ -312,7 +312,6 @@ mod tests {
         for (count, seed) in [(1usize, 1u64), (3, 2), (5, 1000003)] {
             let bundle = control_bundle(21, count, seed);
             let out = ChaseSession::new(&control::program())
-                .with_config(vadalog::ChaseConfig::default().with_positional_index(true))
                 .run(bundle.database)
                 .unwrap();
             assert_eq!(out.report.total_matches(), 231 * count as u64);

@@ -9,7 +9,7 @@ use finkg::scenario;
 use std::sync::Arc;
 use vadalog::{
     Bindings, Budget, CancelToken, ChaseConfig, ChaseError, ChaseOutcome, ChaseSession, Database,
-    Fact, MetricsRegistry, Program, RunGuard,
+    MetricsRegistry, Program, RunGuard,
 };
 
 const THREAD_SWEEP: [usize; 2] = [2, 8];
@@ -176,11 +176,11 @@ fn semi_naive_matches_the_naive_reference_on_aggregate_programs() {
             finkg::random_debt_network(n, 3, 5, seed),
         ));
     }
-    let indexed = ChaseConfig::default().with_positional_index(true);
+    let config = ChaseConfig::default();
     let (mut multi_contributor, mut superseded) = (false, false);
     for (name, program, db) in &cases {
         let naive = ChaseSession::new(program)
-            .with_config(indexed.clone().with_semi_naive(false).with_threads(1))
+            .with_config(config.clone().with_semi_naive(false).with_threads(1))
             .run(db.clone())
             .unwrap_or_else(|e| panic!("{name}: naive chase failed: {e}"));
         multi_contributor |= naive.graph.derivations().iter().any(|d| d.contributors > 1);
@@ -188,7 +188,7 @@ fn semi_naive_matches_the_naive_reference_on_aggregate_programs() {
         let expected = fingerprint(&naive);
         for threads in [1usize, 2, 8] {
             let semi = ChaseSession::new(program)
-                .with_config(indexed.clone().with_threads(threads))
+                .with_config(config.clone().with_threads(threads))
                 .run(db.clone())
                 .unwrap_or_else(|e| panic!("{name}: chase at {threads} threads failed: {e}"));
             assert_eq!(
@@ -270,7 +270,7 @@ fn budget_interrupted_chase_resumes_to_the_uninterrupted_state() {
                     tripped += 1;
                     ChaseSession::new(&program)
                         .with_threads(threads)
-                        .resume(*partial, Vec::<Fact>::new())
+                        .resume(*partial)
                         .expect("resume to fixpoint")
                 }
                 Ok(out) => out,
@@ -320,7 +320,7 @@ fn cancelled_chase_resumes_to_the_uninterrupted_state() {
                     ..
                 }) => ChaseSession::new(&program)
                     .with_threads(threads)
-                    .resume(*partial, Vec::<Fact>::new())
+                    .resume(*partial)
                     .expect("resume to fixpoint"),
                 Ok(out) => out,
                 Err(e) => panic!("unexpected chase error: {e}"),

@@ -149,11 +149,7 @@ proptest! {
             let mut states = Vec::new();
             for (delta, _) in &script {
                 let applied = session.apply_delta(delta.clone()).unwrap();
-                // Under VADALOG_NO_INDEX the scan-ablation default makes
-                // deltas ineligible; equivalence must hold either way.
-                if vadalog::ChaseConfig::default().use_positional_index {
-                    prop_assert_eq!(applied.strategy, DeltaStrategy::Incremental);
-                }
+                prop_assert_eq!(applied.strategy, DeltaStrategy::Incremental);
                 states.push((
                     structural(&applied.outcome),
                     applied.outcome.report.count_fingerprint(),

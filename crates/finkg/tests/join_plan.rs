@@ -1,10 +1,11 @@
-//! Equivalence and determinism suite for the static join-planning layer:
-//! the composite-index plan, the legacy single-position plan and the
-//! index-free scan ablation must enumerate the same matches in the same
-//! order — observable as bitwise-identical fact stores, `FactId`
-//! assignment and derivation logs — at 1, 2 and 8 worker threads, on
-//! seeded finkg bundles and on randomized programs with negation,
-//! aggregation and existentials.
+//! Equivalence and determinism suite for the planned join: semi-naive
+//! evaluation (pivot-first delta expansions over composite-index probes)
+//! and the naive full re-match reference must produce the same outcome —
+//! bitwise-identical fact stores, `FactId` assignment and derivation
+//! logs — at 1, 2 and 8 worker threads, on seeded finkg bundles and on
+//! randomized programs with negation, aggregation and existentials. The
+//! probes themselves are checked against the scan they replace by the
+//! randomized index test of `vadalog`'s `database` module.
 
 use finkg::apps::{control, golden_power, stress};
 use finkg::scenario;
@@ -13,27 +14,13 @@ use vadalog::{parse_program, ChaseConfig, ChaseOutcome, ChaseSession, Database, 
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 
-/// The three index configurations under comparison. Matches — not
-/// counters — are required to agree across them: the configs probe
-/// differently by design.
-fn configs() -> [(&'static str, ChaseConfig); 3] {
-    // Index use is pinned explicitly so the sweep stays meaningful when
-    // CI flips the default via VADALOG_NO_INDEX.
+/// The two configurations under comparison. Outcomes — not counters —
+/// are required to agree across them: the naive reference re-matches
+/// every rule in full each round by design.
+fn configs() -> [(&'static str, ChaseConfig); 2] {
     [
-        (
-            "composite_plan",
-            ChaseConfig::default().with_positional_index(true),
-        ),
-        (
-            "legacy_single_position",
-            ChaseConfig::default()
-                .with_positional_index(true)
-                .with_join_planning(false),
-        ),
-        (
-            "scan_ablation",
-            ChaseConfig::default().with_positional_index(false),
-        ),
+        ("semi_naive", ChaseConfig::default()),
+        ("naive", ChaseConfig::default().with_semi_naive(false)),
     ]
 }
 
@@ -138,10 +125,7 @@ fn planned_negation_and_satisfaction_never_scan() {
     for i in (0..60usize).step_by(4) {
         db.add("sanctioned", &[format!("C{i}").as_str().into()]);
     }
-    let out = ChaseSession::new(&program)
-        .with_config(ChaseConfig::default().with_positional_index(true))
-        .run(db.clone())
-        .unwrap();
+    let out = ChaseSession::new(&program).run(db).unwrap();
     let sum =
         |f: fn(&vadalog::telemetry::RuleStats) -> u64| out.report.rules.iter().map(f).sum::<u64>();
     assert!(sum(|r| r.negation_probes) > 0, "negation never exercised");
@@ -162,31 +146,14 @@ fn planned_negation_and_satisfaction_never_scan() {
     assert!(
         sum(|r| r.composite_probes) == 0 || sum(|r| r.index_probes) >= sum(|r| r.composite_probes)
     );
-
-    // The legacy plan answers the same checks by scanning.
-    let legacy = ChaseSession::new(&program)
-        .with_config(
-            ChaseConfig::default()
-                .with_positional_index(true)
-                .with_join_planning(false),
-        )
-        .run(db)
-        .unwrap();
-    let lsum = |f: fn(&vadalog::telemetry::RuleStats) -> u64| {
-        legacy.report.rules.iter().map(f).sum::<u64>()
-    };
-    assert_eq!(lsum(|r| r.negation_probes), 0);
-    assert!(lsum(|r| r.negation_scans) > 0);
-    assert_eq!(lsum(|r| r.satisfaction_probes), 0);
-    assert!(lsum(|r| r.satisfaction_scans) > 0);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// On a randomized recursive program with negation and aggregation,
-    /// the planned/composite join produces the same matches in the same
-    /// order as the index-free full scan, at 1, 2 and 8 threads.
+    /// semi-naive evaluation produces the same outcome as the naive
+    /// reference, at 1, 2 and 8 threads.
     #[test]
     fn random_programs_are_plan_invariant(
         inputs in prop::collection::vec((0u8..10, 0u8..10, 30u8..100), 0..18),

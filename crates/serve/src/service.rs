@@ -423,13 +423,18 @@ impl ExplainService {
         let id = self.next_worker.fetch_add(1, Ordering::Relaxed);
         let rx = Arc::clone(&self.job_rx);
         let artifacts = Arc::clone(&self.artifacts);
-        let alive = Arc::clone(&self.alive);
+        // Counted alive from here, not from when the thread first runs:
+        // a `heal` that returns has the pool at full width.
+        let presence = AlivePresence::enter(Arc::clone(&self.alive));
         let flavor = self.config.flavor;
         let policy = self.config.policy;
         let slow_threshold = self.config.slow_query_threshold;
         std::thread::Builder::new()
             .name(format!("explain-worker-{id}"))
-            .spawn(move || worker_loop(&rx, &artifacts, flavor, policy, slow_threshold, id, &alive))
+            .spawn(move || {
+                let _presence = presence;
+                worker_loop(&rx, &artifacts, flavor, policy, slow_threshold, id)
+            })
             .expect("spawning explanation worker")
     }
 
@@ -742,9 +747,7 @@ fn worker_loop(
     policy: DerivationPolicy,
     slow_threshold: Option<Duration>,
     worker: usize,
-    alive: &AtomicUsize,
 ) {
-    let _presence = AlivePresence::enter(alive);
     loop {
         let job = {
             let guard = match rx.lock() {
@@ -806,16 +809,16 @@ fn worker_loop(
 
 /// Tracks a worker's liveness, decrementing on any exit (including
 /// unwind).
-struct AlivePresence<'a>(&'a AtomicUsize);
+struct AlivePresence(Arc<AtomicUsize>);
 
-impl<'a> AlivePresence<'a> {
-    fn enter(alive: &'a AtomicUsize) -> AlivePresence<'a> {
+impl AlivePresence {
+    fn enter(alive: Arc<AtomicUsize>) -> AlivePresence {
         alive.fetch_add(1, Ordering::AcqRel);
         AlivePresence(alive)
     }
 }
 
-impl Drop for AlivePresence<'_> {
+impl Drop for AlivePresence {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::AcqRel);
     }

@@ -249,7 +249,10 @@ pub fn fingerprint(program: &Program, config: &ChaseConfig) -> u64 {
     h.write(b"vadalog-checkpoint-fingerprint-v1");
     h.write(program.to_string().as_bytes());
     h.write(&[
-        u8::from(config.use_positional_index),
+        // Once the index-use flag, always on since the scan path was
+        // removed. The constant keeps every earlier snapshot's
+        // fingerprint, so those snapshots stay resumable.
+        1,
         u8::from(config.semi_naive),
         u8::from(config.fail_on_violation),
     ]);
@@ -1169,21 +1172,18 @@ mod tests {
     fn fingerprint_tracks_program_and_semantics_only() {
         let (program, _) = small_outcome();
         let other = parse_program("r: p(x) -> q(x).").unwrap().program;
-        // Pinned so the ne-assertions below hold when VADALOG_NO_INDEX
-        // flips the default.
-        let base = ChaseConfig::default().with_positional_index(true);
+        let base = ChaseConfig::default();
         let fp = fingerprint(&program, &base);
         assert_eq!(fp, fingerprint(&program, &base.clone().with_threads(8)));
         assert_eq!(fp, fingerprint(&program, &base.clone().with_max_rounds(3)));
         assert_ne!(fp, fingerprint(&other, &base));
-        assert_ne!(
-            fp,
-            fingerprint(&program, &base.clone().with_semi_naive(false))
-        );
-        assert_ne!(
-            fp,
-            fingerprint(&program, &base.clone().with_positional_index(false))
-        );
+        let naive = fingerprint(&program, &base.clone().with_semi_naive(false));
+        assert_ne!(fp, naive);
+        // Pinned to the values computed before the index-use flag became
+        // a constant byte: snapshots written back then must still pass
+        // the fingerprint check.
+        assert_eq!(fp, 0x5bf8_70fd_b439_730b);
+        assert_eq!(naive, 0x5bf5_0afd_b436_8fe2);
     }
 
     #[test]

@@ -492,9 +492,10 @@ impl Database {
         }
     }
 
-    /// Forced linear-scan variant of [`Database::find_matching`], used by
-    /// the index-ablation paths so "scan mode" stays an honest scan even
-    /// when indexes happen to exist.
+    /// Forced linear-scan variant of [`Database::find_matching`]: the
+    /// fallback of [`Database::find_matching_metered`] when no usable
+    /// index exists, and the reference its index probes are tested
+    /// against.
     pub(crate) fn find_matching_scan(
         &self,
         predicate: Symbol,
@@ -849,5 +850,168 @@ mod tests {
         // Retracting the stale slot again must not unclaim the fresh id.
         db.retract(a);
         assert_eq!(db.lookup(&fact), Some(b));
+    }
+
+    /// The matcher's scan fallback for a composite probe: `pred`'s
+    /// active facts in insertion order whose values at `positions`
+    /// equal `key`.
+    fn scan_reference(
+        db: &Database,
+        pred: Symbol,
+        positions: &[usize],
+        key: &[Value],
+    ) -> Vec<FactId> {
+        db.facts_of(pred)
+            .iter()
+            .copied()
+            .filter(|&id| {
+                let f = db.fact(id);
+                positions
+                    .iter()
+                    .zip(key)
+                    .all(|(&p, v)| f.values.get(p) == Some(v))
+            })
+            .filter(|&id| db.is_active(id))
+            .collect()
+    }
+
+    /// Checks every index in `sigs` against the scan fallback, for the
+    /// key of every stored fact plus an unseen one, and
+    /// `find_matching_metered` against `find_matching_scan` for every
+    /// stored fact with random wildcards.
+    fn assert_probes_agree_with_scans(
+        db: &Database,
+        sigs: &[(Symbol, Vec<usize>)],
+        rng: &mut rand::rngs::StdRng,
+        step: &str,
+    ) {
+        use rand::Rng;
+        for (pred, positions) in sigs {
+            let mut keys: Vec<Vec<Value>> = db
+                .facts_of(*pred)
+                .iter()
+                .filter_map(|&id| {
+                    let f = db.fact(id);
+                    positions
+                        .iter()
+                        .map(|&p| f.values.get(p).copied())
+                        .collect()
+                })
+                .collect();
+            keys.push(positions.iter().map(|_| Value::Int(-1)).collect());
+            for key in &keys {
+                let probed: Vec<FactId> = db
+                    .probe_composite(*pred, positions, key)
+                    .expect("index is built")
+                    .iter()
+                    .copied()
+                    .filter(|&id| db.is_active(id))
+                    .collect();
+                assert_eq!(
+                    probed,
+                    scan_reference(db, *pred, positions, key),
+                    "{step}: probe {pred}{positions:?} {key:?}"
+                );
+            }
+            for &id in db.facts_of(*pred) {
+                let pattern: Vec<Option<Value>> = db
+                    .fact(id)
+                    .values
+                    .iter()
+                    .map(|v| rng.random_bool(0.5).then_some(*v))
+                    .collect();
+                let (hit, _) = db.find_matching_metered(*pred, &pattern);
+                assert_eq!(
+                    hit,
+                    db.find_matching_scan(*pred, &pattern),
+                    "{step}: find {pred} {pattern:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn composite_probes_agree_with_the_scan_fallback_under_random_updates() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let value = |rng: &mut StdRng| match rng.random_range(0..4) {
+            0 => Value::Int(rng.random_range(0..3)),
+            1 => Value::Float([0.0, -0.0, 0.5, 1.5][rng.random_range(0..4)]),
+            2 => Value::str(["a", "b", "c"][rng.random_range(0..3)]),
+            _ => Value::Null(rng.random_range(1..3)),
+        };
+        // `r` mixes arities, so some facts lack an indexed position.
+        let preds = [("p", 2..=2), ("q", 3..=3), ("r", 1..=3)];
+        let fact = |rng: &mut StdRng| {
+            let (name, arity) = preds[rng.random_range(0..preds.len())].clone();
+            let len = rng.random_range(arity);
+            Fact::new(name, (0..len).map(|_| value(rng)).collect())
+        };
+        // Every non-empty ascending position set of each predicate.
+        let mut sigs: Vec<(Symbol, Vec<usize>)> = Vec::new();
+        for (name, arity) in &preds {
+            let width = *arity.end();
+            for mask in 1u32..(1 << width) {
+                let positions = (0..width).filter(|i| mask & (1 << i) != 0).collect();
+                sigs.push((Symbol::new(name), positions));
+            }
+        }
+        for seed in 0..16 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut db = Database::new();
+            // Half the indexes before any insert, the rest after.
+            let (early, late) = sigs.split_at(sigs.len() / 2);
+            for (pred, positions) in early {
+                db.ensure_composite_index(*pred, positions);
+            }
+            for _ in 0..40 {
+                db.insert(fact(&mut rng));
+            }
+            for (pred, positions) in late {
+                db.ensure_composite_index(*pred, positions);
+            }
+            assert_probes_agree_with_scans(&db, &sigs, &mut rng, &format!("seed {seed} built"));
+            for op in 0..12 {
+                let id = FactId(rng.random_range(0..db.len() as u32));
+                match rng.random_range(0..3) {
+                    0 => db.deactivate(id),
+                    1 => db.retract(id),
+                    _ => {
+                        // Re-insert a stored value: a no-op, or a fresh id
+                        // if that value was retracted.
+                        db.insert(db.fact(id).clone());
+                    }
+                }
+                let step = format!("seed {seed} op {op}");
+                assert_probes_agree_with_scans(&db, &sigs, &mut rng, &step);
+            }
+            // Permuted round trip: the live facts in a shuffled id order,
+            // re-indexed half before and half after further inserts.
+            let live: Vec<FactId> = db
+                .iter()
+                .filter(|(id, f)| db.lookup(f) == Some(*id))
+                .map(|(id, _)| id)
+                .collect();
+            let mut targets: Vec<u32> = (0..live.len() as u32).collect();
+            for i in (1..targets.len()).rev() {
+                targets.swap(i, rng.random_range(0..=i));
+            }
+            let mut map = vec![FactId(u32::MAX); db.len()];
+            for (id, target) in live.iter().zip(targets) {
+                map[id.0 as usize] = FactId(target);
+            }
+            let mut db = db.permuted(&map, live.len());
+            for (pred, positions) in late {
+                db.ensure_composite_index(*pred, positions);
+            }
+            for _ in 0..10 {
+                db.insert(fact(&mut rng));
+            }
+            for (pred, positions) in early {
+                db.ensure_composite_index(*pred, positions);
+            }
+            let step = format!("seed {seed} permuted");
+            assert_probes_agree_with_scans(&db, &sigs, &mut rng, &step);
+        }
     }
 }

@@ -48,8 +48,8 @@
 //! EDB, which trivially satisfies the determinism contract.
 
 use super::{
-    join_plans, match_body_incremental_planned, match_body_planned, prune_ablation_default, Chase,
-    ChaseConfig, ChaseOutcome, ChaseSession, JoinPlan, MatchMetrics,
+    join_plans, match_chunk, match_delta, prune_ablation_default, Chase, ChaseConfig, ChaseOutcome,
+    ChaseSession, JoinPlan, MatchChunk, MatchMetrics,
 };
 use crate::atom::{Atom, Fact};
 use crate::database::{Database, FactId};
@@ -141,9 +141,9 @@ pub enum DeltaStrategy {
     Incremental,
     /// A from-scratch chase on the updated EDB: the program uses
     /// aggregates or existential invention (whose supersession/invention
-    /// state is not incrementally maintainable), or the session disables
-    /// `use_positional_index`/`semi_naive`, or the live store carries
-    /// deactivated facts.
+    /// state is not incrementally maintainable), the session disables
+    /// `semi_naive` or restricts the run to a goal cone, or the live
+    /// store carries deactivated facts.
     FullRechase,
 }
 
@@ -312,8 +312,8 @@ fn updated_edb(live: &ChaseOutcome, net: &NetDelta) -> Vec<Fact> {
     edb
 }
 
-/// True iff the incremental strategy applies: indexed semi-naive
-/// evaluation with neither aggregates (supersession state) nor
+/// True iff the incremental strategy applies: semi-naive evaluation
+/// with neither aggregates (supersession state) nor
 /// existential invention (null counters) to maintain, over a store with
 /// no deactivated facts. Goal-cone-restricted sessions
 /// ([`ChaseConfig::goal_cone`]) also fall back: the maintenance loops
@@ -321,8 +321,7 @@ fn updated_edb(live: &ChaseOutcome, net: &NetDelta) -> Vec<Fact> {
 /// full re-chase honours the cone and is itself pruned, so the fallback
 /// stays cheap exactly when the cone is sharp.
 fn incremental_eligible(program: &Program, config: &ChaseConfig, live: &ChaseOutcome) -> bool {
-    config.use_positional_index
-        && config.semi_naive
+    config.semi_naive
         && (config.goal_cone.is_none() || prune_ablation_default())
         && live.database.inactive_count() == 0
         && program
@@ -564,7 +563,12 @@ fn maintain(
     let started = Instant::now();
     let mut db = live.database.clone();
     let graph = &live.graph;
-    let plans = join_plans(program, config);
+    let plans = join_plans(program);
+    // Every index a maintenance match can probe, before the first one:
+    // the live store may come from a checkpoint or from another session.
+    for (rule, plan) in program.rules().iter().zip(&plans) {
+        plan.build_indexes(rule, &mut db);
+    }
     let pre_add_len = db.len();
 
     // The updated extensional set and its canonical order: survivors in
@@ -716,18 +720,12 @@ fn maintain(
             for &idx in &stratum_rules {
                 let rule = program.rule(RuleId(idx));
                 let current = db.len();
-                let mut metrics = MatchMetrics::default();
+                let metrics = &mut MatchMetrics::default();
                 let mut matches = if needs_full[idx] {
                     needs_full[idx] = false;
-                    match_body_planned(&mut db, rule, &plans[idx], true, &mut metrics)
+                    match_chunk(&db, rule, &plans[idx], &MatchChunk::full(), metrics)
                 } else if watermark[idx] < current {
-                    match_body_incremental_planned(
-                        &mut db,
-                        rule,
-                        &plans[idx],
-                        watermark[idx] as u32,
-                        &mut metrics,
-                    )
+                    match_delta(&db, rule, &plans[idx], watermark[idx] as u32, metrics)
                 } else {
                     continue;
                 }
@@ -1039,12 +1037,8 @@ fn replay(
     // run-start eager index build, so the served store carries the same
     // indexes a from-scratch run would.
     let mut ndb = wdb.permuted(&map, next_id as usize);
-    if config.use_positional_index {
-        for (rule, plan) in program.rules().iter().zip(plans) {
-            for (pred, sig) in plan.required_composite_indexes(rule) {
-                ndb.ensure_composite_index(pred, &sig);
-            }
-        }
+    for (rule, plan) in program.rules().iter().zip(plans) {
+        plan.build_indexes(rule, &mut ndb);
     }
 
     // Constraints: re-match against the final store and order the
@@ -1064,18 +1058,12 @@ fn replay(
             if !rule.is_constraint() {
                 continue;
             }
-            let mut metrics = MatchMetrics::default();
-            let matches = match_body_planned(
-                &mut ndb,
-                rule,
-                &plans[idx],
-                config.use_positional_index,
-                &mut metrics,
-            )
-            .map_err(|source| ChaseError::Eval {
-                rule: rule.label.clone(),
-                source,
-            })?;
+            let metrics = &mut MatchMetrics::default();
+            let matches = match_chunk(&ndb, rule, &plans[idx], &MatchChunk::full(), metrics)
+                .map_err(|source| ChaseError::Eval {
+                    rule: rule.label.clone(),
+                    source,
+                })?;
             let first_round = stratum_first[program.rule_stratum(RuleId(idx))];
             if let Some(first) = matches
                 .iter()
@@ -1232,9 +1220,7 @@ mod tests {
     #[test]
     fn additions_propagate_and_match_scratch() {
         let parsed = parse_program(REACH).unwrap();
-        // Pin indexes on: this test asserts the incremental strategy,
-        // which the VADALOG_NO_INDEX scan-ablation default disables.
-        let config = ChaseConfig::default().with_positional_index(true);
+        let config = ChaseConfig::default();
         let (mut session, _) =
             initial(&parsed.program, vec![own("A", "B"), own("B", "C")], &config);
         let applied = session
@@ -1268,9 +1254,7 @@ mod tests {
         "#,
         )
         .unwrap();
-        let config = ChaseConfig::default()
-            .with_positional_index(true)
-            .with_goal_cone("reach");
+        let config = ChaseConfig::default().with_goal_cone("reach");
         let (mut session, _) =
             initial(&parsed.program, vec![own("A", "B"), own("B", "C")], &config);
         let applied = session
@@ -1541,9 +1525,7 @@ mod tests {
         use crate::obs::metrics::MetricsRegistry;
         let parsed = parse_program(REACH).unwrap();
         let registry = Arc::new(MetricsRegistry::new());
-        let config = ChaseConfig::default()
-            .with_positional_index(true)
-            .with_metrics(Arc::clone(&registry));
+        let config = ChaseConfig::default().with_metrics(Arc::clone(&registry));
         let (mut session, _) = initial(&parsed.program, vec![own("A", "B")], &config);
         session
             .apply_delta(Delta::new().add(own("B", "C")))

@@ -4,17 +4,17 @@
 //! Joins are driven by a static, per-rule [`JoinPlan`]: for every body
 //! atom (positive *and* negated) the plan records the probe signature —
 //! the set of argument positions bound by constants or earlier atoms —
-//! and the engine eagerly builds exactly the matching composite indexes
-//! before its parallel phase. A candidate lookup then probes *all*
-//! statically-bound positions at once via
-//! [`Database::probe_composite`], instead of probing one position and
-//! filtering the rest per candidate.
+//! the positive ones once per semi-naive pivot, in that pivot's
+//! pivot-first evaluation order. Callers build exactly the plan's
+//! composite indexes ([`JoinPlan::required_composite_indexes`]) before
+//! matching. A candidate lookup then probes *all* statically-bound
+//! positions at once via [`Database::probe_composite`], instead of
+//! probing one position and filtering the rest per candidate.
 //!
-//! The core join is *read-only*: probes fall back to predicate scans when
-//! an index was never built (same ids, same order, just slower) and
-//! therefore run safely from many threads over a shared `&Database`
-//! snapshot. The `&mut` entry points kept for compatibility eagerly build
-//! the planned indexes and delegate to the read-only core.
+//! [`match_chunk`] is the one matching function. It is *read-only*:
+//! probes fall back to predicate scans when an index was never built
+//! (same ids, same order, just slower), so it runs safely from many
+//! threads over a shared `&Database` snapshot.
 //!
 //! Work is decomposed into [`MatchChunk`]s — disjoint slices of the
 //! outermost join loop — whose results, concatenated in chunk order,
@@ -30,6 +30,7 @@ use crate::rule::Rule;
 use crate::symbol::Symbol;
 use crate::term::Term;
 use crate::value::Value;
+use std::collections::HashSet;
 
 /// A homomorphism from a rule body into the database: the variable
 /// bindings plus the matched premise facts (one per positive body atom, in
@@ -54,8 +55,8 @@ pub struct BodyMatch {
 pub struct MatchMetrics {
     /// Candidate lookups served by a positional index probe.
     pub index_probes: u64,
-    /// Candidate lookups served by a predicate scan (index disabled or
-    /// never built).
+    /// Candidate lookups served by a predicate scan (no bound position,
+    /// or an index that was never built).
     pub scans: u64,
     /// Subset of `index_probes` whose signature bound two or more
     /// positions at once (a genuinely composite probe).
@@ -81,34 +82,38 @@ impl MatchMetrics {
 
 /// One unit of matching work against an immutable database snapshot.
 ///
+/// A full match evaluates the positive atoms in body order. A delta
+/// match (`pivot` set) evaluates the pivot atom first, restricted to
+/// facts past the watermark, then the other atoms in body order: the
+/// restriction lands at join depth 0, so the work is proportional to the
+/// delta's extensions rather than to the join prefix before the pivot.
+/// Either way the premises come back in body order.
+///
 /// `part`/`parts` slice the outermost candidate loop of the join: chunk
 /// `(i, n)` enumerates the `i`-th of `n` contiguous slices of the first
-/// atom's candidate list. Concatenating the results of chunks
+/// evaluated atom's candidate list. Concatenating the results of chunks
 /// `(0, n) .. (n-1, n)` yields exactly the unchunked enumeration, for any
 /// `n` — the parallel chase phase relies on this invariance.
 #[derive(Clone, Copy, Debug)]
 pub struct MatchChunk {
-    /// Delta restriction: `Some((pivot, watermark))` restricts the
-    /// `pivot`-th positive body atom to facts with id >= `watermark`
-    /// (one pivot per semi-naive expansion step); `None` matches fully.
+    /// Delta restriction: `Some((pivot, watermark))` evaluates the
+    /// `pivot`-th positive body atom first, restricted to facts whose id
+    /// is at least `watermark` (one pivot per semi-naive expansion
+    /// step); `None` matches fully.
     pub pivot: Option<(usize, u32)>,
     /// Zero-based index of this slice of the outermost candidate loop.
     pub part: usize,
     /// Total number of slices the outermost loop is split into.
     pub parts: usize,
-    /// Probe positional indexes on bound arguments (fall back to scans
-    /// when disabled or when an index is missing).
-    pub use_index: bool,
 }
 
 impl MatchChunk {
     /// The full, unchunked match of a rule body.
-    pub fn full(use_index: bool) -> MatchChunk {
+    pub fn full() -> MatchChunk {
         MatchChunk {
             pivot: None,
             part: 0,
             parts: 1,
-            use_index,
         }
     }
 
@@ -118,35 +123,41 @@ impl MatchChunk {
             pivot: Some((pivot, watermark)),
             part: 0,
             parts: 1,
-            use_index: true,
         }
     }
 }
 
 /// The static join plan of one rule: the composite probe signature of
-/// every body atom, plus the signature of the head-satisfaction check.
+/// every positive body atom in each pivot-first evaluation order, plus
+/// the signatures of the negated atoms and of the head-satisfaction
+/// check.
 ///
 /// At join depth `d` the bound variables are exactly the variables of the
-/// positive atoms `0..d` (every candidate binds all of its atom's
+/// atoms evaluated before it (every candidate binds all of its atom's
 /// variables), so the set of bound argument positions of each atom is a
-/// static property of the rule. The plan records that full set per
-/// positive atom; `candidates_for` probes the matching composite index
-/// with all of them bound at once. Negated atoms are checked once per
-/// complete positive match, when the body variables and assignment
-/// results are all bound — their signature is every position holding a
-/// constant or such a variable. The head signature covers the restricted
-/// chase's satisfaction check for existentially-quantified heads: every
-/// position holding a constant or a non-existential variable.
+/// static property of the rule and the evaluation order. The plan
+/// records that full set per positive atom and order; `candidates_for`
+/// probes the matching composite index with all of them bound at once.
+/// Negated atoms are checked once per complete positive match, when the
+/// body variables and assignment results are all bound — their
+/// signature is every position holding a constant or such a variable.
+/// The head signature covers the restricted chase's satisfaction check
+/// for existentially-quantified heads: every position holding a
+/// constant or a non-existential variable.
 ///
-/// The plan determines which indexes exist, never which facts match or
-/// in which order: probes and scans yield identical candidate lists
-/// (insertion order), so enumeration order is a property of the rule and
-/// the database — not of the plan, and never of thread scheduling.
+/// The plan determines which indexes exist, never which facts match:
+/// probes and scans yield identical candidate lists (insertion order), so
+/// enumeration order is a property of the rule, the chunk and the
+/// database — never of thread scheduling.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JoinPlan {
-    /// Per positive body atom, in body order: the statically-bound
-    /// argument positions (ascending; empty = no bound position, scan).
-    pub positive: Vec<Vec<usize>>,
+    /// Per positive body atom `p`, the delta expansion pivoting on it:
+    /// the positive atoms in evaluation order — `p` first, then the rest
+    /// in body order — as `(body index, probe signature)` pairs, the
+    /// signature being the statically-bound argument positions
+    /// (ascending; empty = no bound position, scan). Pivot 0's order is
+    /// the body order, which full matches use too.
+    pub pivots: Vec<Vec<(usize, Vec<usize>)>>,
     /// Per negated body atom, in body order: the positions bound by the
     /// rule's positive body and assignments.
     pub negated: Vec<Vec<usize>>,
@@ -157,20 +168,16 @@ pub struct JoinPlan {
 }
 
 impl JoinPlan {
-    /// The full composite plan of `rule`.
+    /// The composite plan of `rule`.
     pub fn for_rule(rule: &Rule) -> JoinPlan {
-        let mut bound: std::collections::HashSet<Symbol> = std::collections::HashSet::new();
-        let mut positive = Vec::new();
-        for atom in rule.positive_body() {
-            positive.push(bound_positions(atom, &bound));
-            for v in atom.variables() {
-                bound.insert(v);
-            }
-        }
+        let atoms: Vec<&Atom> = rule.positive_body().collect();
+        let n = atoms.len();
+        let pivots = (0..n)
+            .map(|p| plan_order(&atoms, std::iter::once(p).chain((0..n).filter(|&i| i != p))))
+            .collect();
         // Negation runs after the assignments of a complete match.
-        for a in &rule.assignments {
-            bound.insert(a.var);
-        }
+        let mut bound: HashSet<Symbol> = atoms.iter().flat_map(|a| a.variables()).collect();
+        bound.extend(rule.assignments.iter().map(|a| a.var));
         let negated = rule
             .negated_body()
             .map(|atom| bound_positions(atom, &bound))
@@ -192,46 +199,25 @@ impl JoinPlan {
             _ => None,
         };
         JoinPlan {
-            positive,
+            pivots,
             negated,
             head,
         }
     }
 
-    /// The pre-composite plan: each positive atom probes only its *first*
-    /// bound position; negated atoms and the satisfaction check scan.
-    /// Kept as the measured baseline of the `join_plan` bench and as a
-    /// regression oracle — it reproduces the engine's behaviour before
-    /// join planning existed.
-    pub fn legacy(rule: &Rule) -> JoinPlan {
-        let mut bound: std::collections::HashSet<Symbol> = std::collections::HashSet::new();
-        let mut positive = Vec::new();
-        for atom in rule.positive_body() {
-            let first = static_probe_position(atom, &bound);
-            positive.push(first.into_iter().collect());
-            for v in atom.variables() {
-                bound.insert(v);
-            }
-        }
-        JoinPlan {
-            positive,
-            negated: rule.negated_body().map(|_| Vec::new()).collect(),
-            head: None,
-        }
-    }
-
-    /// Every composite index this plan probes, as
-    /// `(predicate, positions)` signatures in plan order, deduplicated.
-    /// The engine builds exactly these before its parallel phase.
+    /// Every composite index a chunk of this plan can probe, as
+    /// `(predicate, positions)` signatures in plan order (each pivot
+    /// order, negated atoms, head), deduplicated.
     pub fn required_composite_indexes(&self, rule: &Rule) -> Vec<(Symbol, Vec<usize>)> {
+        let atoms: Vec<&Atom> = rule.positive_body().collect();
         let mut out: Vec<(Symbol, Vec<usize>)> = Vec::new();
         let mut push = |pred: Symbol, sig: &[usize]| {
             if !sig.is_empty() && !out.iter().any(|(p, s)| *p == pred && s == sig) {
                 out.push((pred, sig.to_vec()));
             }
         };
-        for (atom, sig) in rule.positive_body().zip(&self.positive) {
-            push(atom.predicate, sig);
+        for (i, sig) in self.pivots.iter().flatten() {
+            push(atoms[*i].predicate, sig);
         }
         for (atom, sig) in rule.negated_body().zip(&self.negated) {
             push(atom.predicate, sig);
@@ -241,13 +227,35 @@ impl JoinPlan {
         }
         out
     }
+
+    /// Builds every index of [`JoinPlan::required_composite_indexes`]
+    /// that `db` lacks, so that no chunk of this plan scans for want of
+    /// one.
+    pub(crate) fn build_indexes(&self, rule: &Rule, db: &mut Database) {
+        for (pred, sig) in self.required_composite_indexes(rule) {
+            db.ensure_composite_index(pred, &sig);
+        }
+    }
+}
+
+/// The probe signature of each atom of `order` (indexes into `atoms`),
+/// given the variables bound by the atoms evaluated before it.
+fn plan_order(atoms: &[&Atom], order: impl Iterator<Item = usize>) -> Vec<(usize, Vec<usize>)> {
+    let mut bound: HashSet<Symbol> = HashSet::new();
+    order
+        .map(|i| {
+            let sig = bound_positions(atoms[i], &bound);
+            bound.extend(atoms[i].variables());
+            (i, sig)
+        })
+        .collect()
 }
 
 /// The argument positions of `atom` holding a constant or a variable from
 /// `bound`, ascending. Variables repeated within `atom` only count as
 /// bound if an *earlier* atom (or assignment) bound them, mirroring the
 /// runtime bindings at candidate-lookup time.
-fn bound_positions(atom: &Atom, bound: &std::collections::HashSet<Symbol>) -> Vec<usize> {
+fn bound_positions(atom: &Atom, bound: &HashSet<Symbol>) -> Vec<usize> {
     atom.terms
         .iter()
         .enumerate()
@@ -259,214 +267,17 @@ fn bound_positions(atom: &Atom, bound: &std::collections::HashSet<Symbol>) -> Ve
         .collect()
 }
 
-/// The statically-determined single-position index probes of a rule body:
-/// for each positive atom, the first position holding a constant or an
-/// already-bound variable. Superseded by [`JoinPlan`] (which the engine
-/// now plans with) but kept as the stable, documented summary of the
-/// legacy probe selection.
-pub fn required_indexes(rule: &Rule) -> Vec<(Symbol, usize)> {
-    let mut bound: std::collections::HashSet<Symbol> = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for atom in rule.positive_body() {
-        if let Some(pos) = static_probe_position(atom, &bound) {
-            let pair = (atom.predicate, pos);
-            if !out.contains(&pair) {
-                out.push(pair);
-            }
-        }
-        for v in atom.variables() {
-            bound.insert(v);
-        }
-    }
-    out
-}
-
-/// The position of `atom` the join will probe, given the variables bound
-/// by earlier atoms. Mirrors the probe selection inside [`join`].
-fn static_probe_position(atom: &Atom, bound: &std::collections::HashSet<Symbol>) -> Option<usize> {
-    atom.terms.iter().position(|t| match t {
-        Term::Const(_) => true,
-        Term::Var(v) => bound.contains(v),
-    })
-}
-
-/// Enumerates all matches of `rule`'s body in `db`.
+/// Runs one [`MatchChunk`] of `rule`'s body against an immutable
+/// database snapshot, with `plan` (the rule's [`JoinPlan`]) choosing the
+/// probes and `metrics` accumulating the index/scan counters. For
+/// chunked work (`parts > 1`) only chunk 0 counts the outermost lookup,
+/// keeping the totals identical at any chunk count.
 ///
-/// Evaluation per match, in order: positive atoms (backtracking join, using
-/// positional indexes on already-bound arguments), assignments, negated
-/// atoms, then every condition *not* involving the aggregate result.
-/// Conditions over the aggregate result are the caller's responsibility
-/// (they can only be checked after grouping).
-///
-/// Takes `&mut Database` to build the rule's positional indexes up front;
-/// no facts are added or removed. Read-only callers with pre-built indexes
-/// (see [`required_indexes`]) can use [`match_chunk`] directly.
-pub fn match_body(db: &mut Database, rule: &Rule) -> Result<Vec<BodyMatch>, EvalError> {
-    match_body_with(db, rule, true)
-}
-
-/// [`match_body`] with index usage made explicit: with `use_index` false
-/// every atom lookup scans the predicate's facts (the engine-ablation
-/// baseline of the bench crate).
-pub fn match_body_with(
-    db: &mut Database,
-    rule: &Rule,
-    use_index: bool,
-) -> Result<Vec<BodyMatch>, EvalError> {
-    match_body_with_metered(db, rule, use_index, &mut MatchMetrics::default())
-}
-
-/// [`match_body_with`] with index/scan counters accumulated into
-/// `metrics`.
-pub fn match_body_with_metered(
-    db: &mut Database,
-    rule: &Rule,
-    use_index: bool,
-    metrics: &mut MatchMetrics,
-) -> Result<Vec<BodyMatch>, EvalError> {
-    let plan = JoinPlan::for_rule(rule);
-    match_body_planned(db, rule, &plan, use_index, metrics)
-}
-
-/// [`match_body_with_metered`] against a precomputed [`JoinPlan`]: builds
-/// the plan's composite indexes (when `use_index`) and runs the full
-/// unchunked match.
-pub fn match_body_planned(
-    db: &mut Database,
-    rule: &Rule,
-    plan: &JoinPlan,
-    use_index: bool,
-    metrics: &mut MatchMetrics,
-) -> Result<Vec<BodyMatch>, EvalError> {
-    if use_index {
-        for (pred, sig) in plan.required_composite_indexes(rule) {
-            db.ensure_composite_index(pred, &sig);
-        }
-    }
-    match_chunk_planned(db, rule, plan, &MatchChunk::full(use_index), metrics)
-}
-
-/// Semi-naive incremental matching: enumerates only the matches that
-/// involve at least one fact with id >= `watermark` (a fact added since
-/// the rule's previous evaluation).
-///
-/// Implemented as the classic delta expansion: one join per pivot
-/// position, restricting that position to new facts, deduplicated on the
-/// premise vector (a match touching several new facts is produced by
-/// several pivots).
-pub fn match_body_incremental(
-    db: &mut Database,
-    rule: &Rule,
-    watermark: u32,
-) -> Result<Vec<BodyMatch>, EvalError> {
-    match_body_incremental_metered(db, rule, watermark, &mut MatchMetrics::default())
-}
-
-/// [`match_body_incremental`] with index/scan counters accumulated into
-/// `metrics`.
-pub fn match_body_incremental_metered(
-    db: &mut Database,
-    rule: &Rule,
-    watermark: u32,
-    metrics: &mut MatchMetrics,
-) -> Result<Vec<BodyMatch>, EvalError> {
-    let plan = JoinPlan::for_rule(rule);
-    match_body_incremental_planned(db, rule, &plan, watermark, metrics)
-}
-
-/// [`match_body_incremental_metered`] against a precomputed [`JoinPlan`]
-/// (the engine's commit-phase top-up path, which reuses the per-rule
-/// plans computed once per program).
-///
-/// Each pivot's expansion evaluates the body with the *pivot atom first*:
-/// the watermark restriction then lands at join depth 0, so the work of a
-/// pass is proportional to the delta's extensions rather than to the full
-/// join prefix of the atoms before the pivot. The remaining atoms keep
-/// their body order, with probe signatures recomputed for the permuted
-/// order (and their composite indexes built on demand). Premise vectors
-/// are restored to body-atom order before dedup, so the returned match
-/// set — and everything downstream, which sorts on premises — is
-/// identical to the unpermuted expansion.
-pub fn match_body_incremental_planned(
-    db: &mut Database,
-    rule: &Rule,
-    plan: &JoinPlan,
-    watermark: u32,
-    metrics: &mut MatchMetrics,
-) -> Result<Vec<BodyMatch>, EvalError> {
-    for (pred, sig) in plan.required_composite_indexes(rule) {
-        db.ensure_composite_index(pred, &sig);
-    }
-    let atoms: Vec<&Atom> = rule.positive_body().collect();
-    let n_atoms = atoms.len();
-    // Per pivot: the permuted evaluation order and its probe signatures
-    // (indexed by order position). Indexes are built before any join runs
-    // so the probe/scan split below is a property of the rule alone.
-    let mut passes: Vec<(Vec<usize>, Vec<Vec<usize>>)> = Vec::with_capacity(n_atoms);
-    for pivot in 0..n_atoms {
-        let order: Vec<usize> = std::iter::once(pivot)
-            .chain((0..n_atoms).filter(|&i| i != pivot))
-            .collect();
-        let mut bound: std::collections::HashSet<Symbol> = std::collections::HashSet::new();
-        let mut probes: Vec<Vec<usize>> = Vec::with_capacity(n_atoms);
-        for &i in &order {
-            let sig = bound_positions(atoms[i], &bound);
-            if !sig.is_empty() {
-                db.ensure_composite_index(atoms[i].predicate, &sig);
-            }
-            probes.push(sig);
-            for v in atoms[i].variables() {
-                bound.insert(v);
-            }
-        }
-        passes.push((order, probes));
-    }
-    let mut out = Vec::new();
-    let mut seen_premises: std::collections::HashSet<Vec<FactId>> =
-        std::collections::HashSet::new();
-    for (order, probes) in &passes {
-        let plans: Vec<AtomPlan> = order
-            .iter()
-            .zip(probes)
-            .enumerate()
-            .map(|(k, (&i, sig))| AtomPlan {
-                atom: atoms[i],
-                probe: sig.as_slice(),
-                min_fact: if k == 0 { watermark } else { 0 },
-            })
-            .collect();
-        let mut bindings = Bindings::new();
-        let mut premises = Vec::with_capacity(n_atoms);
-        let mut found = Vec::new();
-        join(
-            db,
-            rule,
-            &plans,
-            0,
-            true,
-            None,
-            &mut bindings,
-            &mut premises,
-            &mut found,
-            metrics,
-        )?;
-        for mut m in found {
-            // `join` records premises in evaluation order; restore body
-            // order so dedup and provenance see the canonical vector.
-            let mut body_order = vec![FactId(0); n_atoms];
-            for (k, &i) in order.iter().enumerate() {
-                body_order[i] = m.premises[k];
-            }
-            m.premises = body_order;
-            if seen_premises.insert(m.premises.clone()) {
-                out.push(m);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Runs one [`MatchChunk`] against an immutable database snapshot.
+/// Evaluation per match, in order: positive atoms (backtracking join,
+/// probing composite indexes on already-bound arguments), assignments,
+/// negated atoms, then every condition *not* involving the aggregate
+/// result. Conditions over the aggregate result are the caller's
+/// responsibility (they can only be checked after grouping).
 ///
 /// Requires only `&Database`: index probes that miss (index never built)
 /// fall back to a predicate scan, so results never depend on which indexes
@@ -474,45 +285,21 @@ pub fn match_body_incremental_planned(
 pub fn match_chunk(
     db: &Database,
     rule: &Rule,
-    chunk: &MatchChunk,
-) -> Result<Vec<BodyMatch>, EvalError> {
-    match_chunk_metered(db, rule, chunk, &mut MatchMetrics::default())
-}
-
-/// [`match_chunk`] with index/scan counters accumulated into `metrics`.
-/// For chunked work (`parts > 1`) only chunk 0 counts the outermost
-/// lookup, keeping the totals identical at any chunk count.
-pub fn match_chunk_metered(
-    db: &Database,
-    rule: &Rule,
-    chunk: &MatchChunk,
-    metrics: &mut MatchMetrics,
-) -> Result<Vec<BodyMatch>, EvalError> {
-    let plan = JoinPlan::for_rule(rule);
-    match_chunk_planned(db, rule, &plan, chunk, metrics)
-}
-
-/// [`match_chunk_metered`] against a precomputed [`JoinPlan`] — the
-/// parallel chase phase's entry point, which computes one plan per rule
-/// up front and shares it across all chunks.
-pub fn match_chunk_planned(
-    db: &Database,
-    rule: &Rule,
     plan: &JoinPlan,
     chunk: &MatchChunk,
     metrics: &mut MatchMetrics,
 ) -> Result<Vec<BodyMatch>, EvalError> {
-    static EMPTY: &[usize] = &[];
-    let atoms: Vec<AtomPlan> = rule
-        .positive_body()
+    let body: Vec<&Atom> = rule.positive_body().collect();
+    // A full match is pivot 0 (body order) without a restriction.
+    let (pivot, watermark) = chunk.pivot.unwrap_or((0, 0));
+    let order = plan.pivots.get(pivot).map_or(&[][..], Vec::as_slice);
+    let atoms: Vec<AtomPlan> = order
+        .iter()
         .enumerate()
-        .map(|(i, atom)| AtomPlan {
-            atom,
-            probe: plan.positive.get(i).map_or(EMPTY, Vec::as_slice),
-            min_fact: match chunk.pivot {
-                Some((pivot, watermark)) if pivot == i => watermark,
-                _ => 0,
-            },
+        .map(|(k, (i, probe))| AtomPlan {
+            atom: body[*i],
+            probe,
+            min_fact: if k == 0 { watermark } else { 0 },
         })
         .collect();
     let mut out = Vec::new();
@@ -523,13 +310,23 @@ pub fn match_chunk_planned(
         rule,
         &atoms,
         0,
-        chunk.use_index,
-        Some((chunk.part, chunk.parts)),
+        (chunk.part, chunk.parts),
         &mut bindings,
         &mut premises,
         &mut out,
         metrics,
     )?;
+    if pivot > 0 {
+        // `join` records premises in evaluation order; restore body
+        // order so dedup and provenance see the canonical vector.
+        for m in &mut out {
+            let mut body_order = vec![FactId(0); order.len()];
+            for (&(i, _), &id) in order.iter().zip(&m.premises) {
+                body_order[i] = id;
+            }
+            m.premises = body_order;
+        }
+    }
     Ok(out)
 }
 
@@ -550,13 +347,12 @@ struct AtomPlan<'a> {
 fn candidates_for(
     db: &Database,
     plan: &AtomPlan<'_>,
-    use_index: bool,
     bindings: &Bindings,
     metrics: &mut MatchMetrics,
     count: bool,
 ) -> Vec<FactId> {
     let atom = plan.atom;
-    let probe = if use_index { plan.probe } else { &[] };
+    let probe = plan.probe;
     // Every planned position holds a constant or a variable bound by an
     // earlier atom, so the key is always fully resolvable.
     let key: Option<Vec<Value>> = probe
@@ -624,21 +420,23 @@ fn chunk_bounds(len: usize, part: usize, parts: usize) -> (usize, usize) {
     (start.min(len), (start + size).min(len))
 }
 
+/// The backtracking join over `atoms` (in evaluation order) from `depth`
+/// on. `slice` is the `(part, parts)` share of the outermost loop this
+/// chunk owns; it applies at depth 0 only.
 #[allow(clippy::too_many_arguments)]
 fn join(
     db: &Database,
     rule: &Rule,
     atoms: &[AtomPlan<'_>],
     depth: usize,
-    use_index: bool,
-    depth0_slice: Option<(usize, usize)>,
+    slice: (usize, usize),
     bindings: &mut Bindings,
     premises: &mut Vec<FactId>,
     out: &mut Vec<BodyMatch>,
     metrics: &mut MatchMetrics,
 ) -> Result<(), EvalError> {
     if depth == atoms.len() {
-        if let Some(m) = finish_match(db, rule, use_index, bindings, premises, metrics)? {
+        if let Some(m) = finish_match(db, rule, bindings, premises, metrics)? {
             out.push(m);
         }
         return Ok(());
@@ -648,18 +446,17 @@ fn join(
 
     // The outermost lookup runs once per chunk: only chunk 0 counts it,
     // so metric totals do not depend on how the work was split.
-    let count = depth > 0 || depth0_slice.is_none_or(|(part, _)| part == 0);
-    let mut candidates = candidates_for(db, plan, use_index, bindings, metrics, count);
+    let (part, parts) = slice;
+    let count = depth > 0 || part == 0;
+    let mut candidates = candidates_for(db, plan, bindings, metrics, count);
     if depth == 0 {
-        if let Some((part, parts)) = depth0_slice {
-            let (lo, hi) = chunk_bounds(candidates.len(), part, parts);
-            candidates.truncate(hi);
-            candidates.drain(..lo);
-        }
+        let (lo, hi) = chunk_bounds(candidates.len(), part, parts);
+        candidates.truncate(hi);
+        candidates.drain(..lo);
     }
 
     for id in candidates {
-        let mut added: Vec<crate::symbol::Symbol> = Vec::new();
+        let mut added: Vec<Symbol> = Vec::new();
         let ok = {
             let fact = db.fact(id);
             if fact.values.len() != atom.terms.len() {
@@ -698,8 +495,7 @@ fn join(
                 rule,
                 atoms,
                 depth + 1,
-                use_index,
-                None,
+                slice,
                 bindings,
                 premises,
                 out,
@@ -721,7 +517,6 @@ fn join(
 fn finish_match(
     db: &Database,
     rule: &Rule,
-    use_index: bool,
     bindings: &Bindings,
     premises: &[FactId],
     metrics: &mut MatchMetrics,
@@ -733,10 +528,10 @@ fn finish_match(
         full.insert(a.var, v);
     }
 
-    // Negated atoms: fail the match if any fact matches under θ. With
-    // indexes enabled the lookup probes the widest composite index whose
-    // positions are all bound (built eagerly from the rule's JoinPlan);
-    // in ablation mode it stays an honest linear scan.
+    // Negated atoms: fail the match if any fact matches under θ. The
+    // lookup probes the widest composite index whose positions are all
+    // bound (built from the rule's JoinPlan), scanning only when none
+    // exists.
     for atom in rule.negated_body() {
         let pattern: Vec<Option<Value>> = atom
             .terms
@@ -746,11 +541,7 @@ fn finish_match(
                 Term::Var(name) => full.get(name).copied(),
             })
             .collect();
-        let (hit, probed) = if use_index {
-            db.find_matching_metered(atom.predicate, &pattern)
-        } else {
-            (db.find_matching_scan(atom.predicate, &pattern), false)
-        };
+        let (hit, probed) = db.find_matching_metered(atom.predicate, &pattern);
         if probed {
             metrics.negation_probes += 1;
         } else {
@@ -795,6 +586,42 @@ mod tests {
         db
     }
 
+    /// Plans `rule`, builds its indexes on `db` and runs one full match,
+    /// counting into `metrics`.
+    fn match_all_metered(
+        db: &mut Database,
+        rule: &Rule,
+        metrics: &mut MatchMetrics,
+    ) -> Vec<BodyMatch> {
+        let plan = JoinPlan::for_rule(rule);
+        plan.build_indexes(rule, db);
+        match_chunk(db, rule, &plan, &MatchChunk::full(), metrics).unwrap()
+    }
+
+    fn match_all(db: &mut Database, rule: &Rule) -> Vec<BodyMatch> {
+        match_all_metered(db, rule, &mut MatchMetrics::default())
+    }
+
+    /// One full match on `db` as it is: no index is built, so every
+    /// lookup takes the scan fallback.
+    fn match_cold(db: &Database, rule: &Rule, metrics: &mut MatchMetrics) -> Vec<BodyMatch> {
+        let plan = JoinPlan::for_rule(rule);
+        match_chunk(db, rule, &plan, &MatchChunk::full(), metrics).unwrap()
+    }
+
+    pub(super) fn two_hop_rule() -> Rule {
+        RuleBuilder::new("r")
+            .body(Atom::new(
+                "own",
+                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
+            ))
+            .body(Atom::new(
+                "own",
+                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
+            ))
+            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]))
+    }
+
     #[test]
     fn single_atom_matching_binds_all_rows() {
         let mut db = own_db();
@@ -804,7 +631,7 @@ mod tests {
                 vec![Term::var("x"), Term::var("y"), Term::var("s")],
             ))
             .head(Atom::new("p", vec![Term::var("x")]));
-        let ms = match_body(&mut db, &rule).unwrap();
+        let ms = match_all(&mut db, &rule);
         assert_eq!(ms.len(), 3);
     }
 
@@ -822,7 +649,7 @@ mod tests {
                 Expr::constant(0.5f64),
             ))
             .head(Atom::new("control", vec![Term::var("x"), Term::var("y")]));
-        let ms = match_body(&mut db, &rule).unwrap();
+        let ms = match_all(&mut db, &rule);
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].bindings[&Symbol::new("y")], Value::str("B"));
     }
@@ -831,17 +658,7 @@ mod tests {
     fn join_respects_shared_variables() {
         let mut db = own_db();
         // own(x,z,_), own(z,y,_) : A->B->C is the only 2-hop chain.
-        let rule = RuleBuilder::new("r")
-            .body(Atom::new(
-                "own",
-                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
-            ))
-            .body(Atom::new(
-                "own",
-                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
-            ))
-            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
-        let ms = match_body(&mut db, &rule).unwrap();
+        let ms = match_all(&mut db, &two_hop_rule());
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].bindings[&Symbol::new("x")], Value::str("A"));
         assert_eq!(ms[0].bindings[&Symbol::new("y")], Value::str("C"));
@@ -856,7 +673,7 @@ mod tests {
         let rule = RuleBuilder::new("r")
             .body(Atom::new("edge", vec![Term::var("x"), Term::var("x")]))
             .head(Atom::new("loop", vec![Term::var("x")]));
-        let ms = match_body(&mut db, &rule).unwrap();
+        let ms = match_all(&mut db, &rule);
         assert_eq!(ms.len(), 1);
     }
 
@@ -869,7 +686,7 @@ mod tests {
                 vec![Term::constant("A"), Term::var("y"), Term::var("s")],
             ))
             .head(Atom::new("p", vec![Term::var("y")]));
-        let ms = match_body(&mut db, &rule).unwrap();
+        let ms = match_all(&mut db, &rule);
         assert_eq!(ms.len(), 2);
     }
 
@@ -884,7 +701,7 @@ mod tests {
             ))
             .body_not(Atom::new("blocked", vec![Term::var("x")]))
             .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
-        let ms = match_body(&mut db, &rule).unwrap();
+        let ms = match_all(&mut db, &rule);
         // A's two rows are blocked; only B->C remains.
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].bindings[&Symbol::new("x")], Value::str("B"));
@@ -907,7 +724,7 @@ mod tests {
                 ),
             )
             .head(Atom::new("p", vec![Term::var("x"), Term::var("pct")]));
-        let ms = match_body(&mut db, &rule).unwrap();
+        let ms = match_all(&mut db, &rule);
         let pcts: Vec<f64> = ms
             .iter()
             .map(|m| m.bindings[&Symbol::new("pct")].as_f64().unwrap())
@@ -932,50 +749,34 @@ mod tests {
                 Expr::constant(10.0f64),
             ))
             .head(Atom::new("p", vec![Term::var("x"), Term::var("ts")]));
-        let ms = match_body(&mut db, &rule).unwrap();
+        let ms = match_all(&mut db, &rule);
         assert_eq!(ms.len(), 3);
     }
 
     #[test]
-    fn scan_mode_agrees_with_indexed_mode() {
-        let mut db = own_db();
-        db.add("own", &["C".into(), "D".into(), 0.7.into()]);
-        let rule = RuleBuilder::new("r")
-            .body(Atom::new(
-                "own",
-                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
-            ))
-            .body(Atom::new(
-                "own",
-                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
-            ))
-            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
-        let indexed = match_body_with(&mut db, &rule, true).unwrap();
-        let scanned = match_body_with(&mut db, &rule, false).unwrap();
-        assert_eq!(indexed.len(), scanned.len());
-        for (a, b) in indexed.iter().zip(&scanned) {
-            assert_eq!(a.premises, b.premises);
-        }
-    }
-
-    #[test]
     fn missing_index_falls_back_to_scan() {
-        // Read-only chunk matching on a cold database (no indexes built)
-        // must agree with the index-building path.
-        let db = own_db();
+        // Matching on a cold database (no indexes built) must agree with
+        // the indexed path, for a constant probe and for a join.
         let rule = RuleBuilder::new("r")
             .body(Atom::new(
                 "own",
                 vec![Term::constant("A"), Term::var("y"), Term::var("s")],
             ))
             .head(Atom::new("p", vec![Term::var("y")]));
-        assert!(!db.has_index(Symbol::new("own"), 0));
-        let cold = match_chunk(&db, &rule, &MatchChunk::full(true)).unwrap();
-        let mut warm_db = own_db();
-        let warm = match_body(&mut warm_db, &rule).unwrap();
-        assert_eq!(cold.len(), warm.len());
-        for (a, b) in cold.iter().zip(&warm) {
-            assert_eq!(a.premises, b.premises);
+        let mut db = own_db();
+        db.add("own", &["C".into(), "D".into(), 0.7.into()]);
+        for rule in [rule, two_hop_rule()] {
+            let cold = match_cold(&db, &rule, &mut MatchMetrics::default());
+            assert!(!db.has_index(Symbol::new("own"), 0));
+            let mut warm_db = db.clone();
+            let warm = match_all(&mut warm_db, &rule);
+            assert!(warm_db.has_index(Symbol::new("own"), 0));
+            assert!(!warm.is_empty());
+            assert_eq!(cold.len(), warm.len());
+            for (a, b) in cold.iter().zip(&warm) {
+                assert_eq!(a.premises, b.premises);
+                assert_eq!(a.bindings, b.bindings);
+            }
         }
     }
 
@@ -984,17 +785,9 @@ mod tests {
         let mut db = own_db();
         db.add("own", &["C".into(), "D".into(), 0.7.into()]);
         db.add("own", &["B".into(), "D".into(), 0.2.into()]);
-        let rule = RuleBuilder::new("r")
-            .body(Atom::new(
-                "own",
-                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
-            ))
-            .body(Atom::new(
-                "own",
-                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
-            ))
-            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
-        let full = match_body(&mut db, &rule).unwrap();
+        let rule = two_hop_rule();
+        let plan = JoinPlan::for_rule(&rule);
+        let full = match_all(&mut db, &rule);
         for parts in 1..=7 {
             let mut concat = Vec::new();
             for part in 0..parts {
@@ -1002,9 +795,10 @@ mod tests {
                     pivot: None,
                     part,
                     parts,
-                    use_index: true,
                 };
-                concat.extend(match_chunk(&db, &rule, &chunk).unwrap());
+                concat.extend(
+                    match_chunk(&db, &rule, &plan, &chunk, &mut MatchMetrics::default()).unwrap(),
+                );
             }
             assert_eq!(concat.len(), full.len(), "parts {parts}");
             for (a, b) in concat.iter().zip(&full) {
@@ -1018,39 +812,35 @@ mod tests {
         let mut db = own_db();
         db.add("own", &["C".into(), "D".into(), 0.7.into()]);
         db.add("own", &["B".into(), "D".into(), 0.2.into()]);
-        let rule = RuleBuilder::new("r")
-            .body(Atom::new(
-                "own",
-                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
-            ))
-            .body(Atom::new(
-                "own",
-                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
-            ))
-            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
+        let rule = two_hop_rule();
+        let plan = JoinPlan::for_rule(&rule);
         // Build the statically-required indexes once.
         let mut reference = MatchMetrics::default();
-        match_body_with_metered(&mut db, &rule, true, &mut reference).unwrap();
+        match_all_metered(&mut db, &rule, &mut reference);
         assert!(reference.index_probes > 0);
         assert!(reference.scans > 0); // the outermost atom has no bound position
-        for parts in 2..=5 {
-            let mut m = MatchMetrics::default();
-            for part in 0..parts {
-                let chunk = MatchChunk {
-                    pivot: None,
-                    part,
-                    parts,
-                    use_index: true,
-                };
-                match_chunk_metered(&db, &rule, &chunk, &mut m).unwrap();
+        for pivot in [None, Some((1, 3))] {
+            let mut reference = MatchMetrics::default();
+            let chunk = MatchChunk {
+                pivot,
+                part: 0,
+                parts: 1,
+            };
+            match_chunk(&db, &rule, &plan, &chunk, &mut reference).unwrap();
+            for parts in 2..=5 {
+                let mut m = MatchMetrics::default();
+                for part in 0..parts {
+                    let chunk = MatchChunk { pivot, part, parts };
+                    match_chunk(&db, &rule, &plan, &chunk, &mut m).unwrap();
+                }
+                assert_eq!(m, reference, "pivot {pivot:?} parts {parts}");
             }
-            assert_eq!(m, reference, "parts {parts}");
         }
     }
 
     #[test]
-    fn scan_mode_counts_scans_only() {
-        let mut db = own_db();
+    fn missing_indexes_count_scans_only() {
+        let db = own_db();
         let rule = RuleBuilder::new("r")
             .body(Atom::new(
                 "own",
@@ -1058,35 +848,9 @@ mod tests {
             ))
             .head(Atom::new("p", vec![Term::var("y")]));
         let mut m = MatchMetrics::default();
-        match_body_with_metered(&mut db, &rule, false, &mut m).unwrap();
+        match_cold(&db, &rule, &mut m);
         assert_eq!(m.index_probes, 0);
         assert!(m.scans > 0);
-    }
-
-    #[test]
-    fn required_indexes_follow_static_binding_order() {
-        // own(x, z, s1) binds x,z,s1; the second atom's first position is
-        // then bound, so only ("own", 0) is required (the first atom has
-        // no bound position at depth 0).
-        let rule = RuleBuilder::new("r")
-            .body(Atom::new(
-                "own",
-                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
-            ))
-            .body(Atom::new(
-                "own",
-                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
-            ))
-            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
-        assert_eq!(required_indexes(&rule), vec![(Symbol::new("own"), 0)]);
-        // A leading constant is probed at depth 0.
-        let rule = RuleBuilder::new("r")
-            .body(Atom::new(
-                "own",
-                vec![Term::constant("A"), Term::var("y"), Term::var("s")],
-            ))
-            .head(Atom::new("p", vec![Term::var("y")]));
-        assert_eq!(required_indexes(&rule), vec![(Symbol::new("own"), 0)]);
     }
 
     #[test]
@@ -1110,23 +874,22 @@ mod tests {
                 vec![Term::var("x"), Term::var("y"), Term::var("w")],
             ));
         let plan = JoinPlan::for_rule(&rule);
-        assert_eq!(plan.positive, vec![vec![], vec![0]]);
         assert_eq!(plan.negated, vec![vec![0, 1]]);
         assert_eq!(plan.head, Some(vec![0, 1]));
+        // Pivot 0 is the body order; pivot 1 evaluates own(z,y,s2) first,
+        // so own(x,z,s1) then probes z at position 1.
+        assert_eq!(plan.pivots[0], vec![(0, vec![]), (1, vec![0])]);
+        assert_eq!(plan.pivots[1], vec![(1, vec![]), (0, vec![1])]);
         let sigs = plan.required_composite_indexes(&rule);
         assert_eq!(
             sigs,
             vec![
                 (Symbol::new("own"), vec![0]),
+                (Symbol::new("own"), vec![1]),
                 (Symbol::new("blocked"), vec![0, 1]),
                 (Symbol::new("p"), vec![0, 1]),
             ]
         );
-        // The legacy plan knows only first-bound-position probes.
-        let legacy = JoinPlan::legacy(&rule);
-        assert_eq!(legacy.positive, vec![vec![], vec![0]]);
-        assert_eq!(legacy.negated, vec![vec![]]);
-        assert_eq!(legacy.head, None);
     }
 
     #[test]
@@ -1177,12 +940,15 @@ mod tests {
                 vec![Term::var("x"), Term::var("y"), Term::var("z")],
             ));
         let plan = JoinPlan::for_rule(&rule);
-        assert_eq!(plan.positive, vec![vec![], vec![0], vec![0, 1]]);
+        assert_eq!(
+            plan.pivots[0],
+            vec![(0, vec![]), (1, vec![0]), (2, vec![0, 1])]
+        );
+        let scanned = match_cold(&db, &rule, &mut MatchMetrics::default());
         let mut metrics = MatchMetrics::default();
-        let indexed = match_body_planned(&mut db, &rule, &plan, true, &mut metrics).unwrap();
+        let indexed = match_all_metered(&mut db, &rule, &mut metrics);
         assert!(metrics.composite_probes > 0);
         assert!(db.has_composite_index(Symbol::new("edge"), &[0, 1]));
-        let scanned = match_body_with(&mut db, &rule, false).unwrap();
         assert_eq!(indexed.len(), scanned.len());
         assert!(!indexed.is_empty());
         for (a, b) in indexed.iter().zip(&scanned) {
@@ -1191,7 +957,7 @@ mod tests {
     }
 
     #[test]
-    fn negation_probes_an_index_when_planned_and_scans_otherwise() {
+    fn negation_probes_an_index_when_built_and_scans_otherwise() {
         let mut db = own_db();
         db.add("blocked", &["A".into()]);
         db.add("blocked", &["Z".into()]);
@@ -1202,48 +968,18 @@ mod tests {
             ))
             .body_not(Atom::new("blocked", vec![Term::var("x")]))
             .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
+        // Without the planned index the check scans.
         let mut metrics = MatchMetrics::default();
-        let ms = match_body_with_metered(&mut db, &rule, true, &mut metrics).unwrap();
+        let scanned = match_cold(&db, &rule, &mut metrics);
+        assert_eq!(metrics.negation_probes, 0);
+        assert_eq!(metrics.negation_scans, 3);
+        let mut metrics = MatchMetrics::default();
+        let ms = match_all_metered(&mut db, &rule, &mut metrics);
         assert_eq!(ms.len(), 1);
         // One negation check per complete positive match, all indexed.
         assert_eq!(metrics.negation_probes, 3);
         assert_eq!(metrics.negation_scans, 0);
-        // Ablation mode stays an honest scan even though the index exists.
-        let mut metrics = MatchMetrics::default();
-        let scanned = match_body_with_metered(&mut db, &rule, false, &mut metrics).unwrap();
-        assert_eq!(metrics.negation_probes, 0);
-        assert_eq!(metrics.negation_scans, 3);
         assert_eq!(ms.len(), scanned.len());
-    }
-
-    #[test]
-    fn legacy_plan_produces_identical_matches() {
-        let mut db = own_db();
-        db.add("own", &["C".into(), "D".into(), 0.7.into()]);
-        db.add("blocked", &["A".into()]);
-        let rule = RuleBuilder::new("r")
-            .body(Atom::new(
-                "own",
-                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
-            ))
-            .body(Atom::new(
-                "own",
-                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
-            ))
-            .body_not(Atom::new("blocked", vec![Term::var("y")]))
-            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
-        let full = JoinPlan::for_rule(&rule);
-        let legacy = JoinPlan::legacy(&rule);
-        let planned =
-            match_body_planned(&mut db, &rule, &full, true, &mut MatchMetrics::default()).unwrap();
-        let legacy_ms =
-            match_body_planned(&mut db, &rule, &legacy, true, &mut MatchMetrics::default())
-                .unwrap();
-        assert_eq!(planned.len(), legacy_ms.len());
-        for (a, b) in planned.iter().zip(&legacy_ms) {
-            assert_eq!(a.premises, b.premises);
-            assert_eq!(a.bindings, b.bindings);
-        }
     }
 
     #[test]
@@ -1252,76 +988,84 @@ mod tests {
         let rule = RuleBuilder::new("r")
             .body(Atom::new("nothing", vec![Term::var("x")]))
             .head(Atom::new("p", vec![Term::var("x")]));
-        assert!(match_body(&mut db, &rule).unwrap().is_empty());
+        assert!(match_all(&mut db, &rule).is_empty());
     }
 }
 
 #[cfg(test)]
-mod incremental_tests {
+mod pivot_tests {
+    //! Delta chunks: each pivot evaluates first, restricted to facts past
+    //! the watermark, and hands back premises in body order.
+    use super::tests::two_hop_rule;
     use super::*;
-    use crate::rule::RuleBuilder;
 
-    fn two_hop_rule() -> Rule {
-        RuleBuilder::new("r")
-            .body(Atom::new(
-                "own",
-                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
-            ))
-            .body(Atom::new(
-                "own",
-                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
-            ))
-            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]))
+    /// The premise vectors of one delta chunk, on a fully indexed store.
+    fn pivot_premises(db: &mut Database, pivot: usize, watermark: u32) -> Vec<Vec<FactId>> {
+        let rule = two_hop_rule();
+        let plan = JoinPlan::for_rule(&rule);
+        plan.build_indexes(&rule, db);
+        let chunk = MatchChunk::delta(pivot, watermark);
+        match_chunk(db, &rule, &plan, &chunk, &mut MatchMetrics::default())
+            .unwrap()
+            .into_iter()
+            .map(|m| m.premises)
+            .collect()
     }
 
-    #[test]
-    fn watermark_zero_equals_full_matching() {
+    fn chain_db() -> Database {
         let mut db = Database::new();
         db.add("own", &["A".into(), "B".into(), 0.6.into()]);
         db.add("own", &["B".into(), "C".into(), 0.7.into()]);
         db.add("own", &["C".into(), "D".into(), 0.8.into()]);
-        let rule = two_hop_rule();
-        let full = match_body(&mut db, &rule).unwrap();
-        let incr = match_body_incremental(&mut db, &rule, 0).unwrap();
-        assert_eq!(full.len(), incr.len());
+        db
     }
 
     #[test]
-    fn incremental_returns_only_matches_touching_new_facts() {
-        let mut db = Database::new();
-        db.add("own", &["A".into(), "B".into(), 0.6.into()]);
-        db.add("own", &["B".into(), "C".into(), 0.7.into()]);
-        let watermark = db.len() as u32; // everything so far is old
-        db.add("own", &["C".into(), "D".into(), 0.8.into()]);
-        let rule = two_hop_rule();
-        let ms = match_body_incremental(&mut db, &rule, watermark).unwrap();
-        // Only B->C->D involves the new fact; A->B->C is old-old.
-        assert_eq!(ms.len(), 1);
+    fn watermark_zero_pivots_each_reproduce_the_full_match() {
+        let mut db = chain_db();
+        let full = pivot_premises(&mut db, 0, 0);
         assert_eq!(
-            ms[0].bindings[&crate::symbol::Symbol::new("y")],
-            Value::str("D")
+            full,
+            vec![vec![FactId(0), FactId(1)], vec![FactId(1), FactId(2)]]
+        );
+        // Pivot 1 enumerates in the order of its own first atom, but the
+        // premise vectors are in body order.
+        let mut second = pivot_premises(&mut db, 1, 0);
+        second.sort();
+        assert_eq!(second, full);
+    }
+
+    #[test]
+    fn pivots_return_only_matches_touching_new_facts() {
+        let mut db = chain_db();
+        // Only C->D (id 2) is new: B->C->D pivots on the second atom,
+        // and no chain starts at C.
+        assert!(pivot_premises(&mut db, 0, 2).is_empty());
+        assert_eq!(
+            pivot_premises(&mut db, 1, 2),
+            vec![vec![FactId(1), FactId(2)]]
         );
     }
 
     #[test]
-    fn matches_with_two_new_facts_are_deduplicated() {
-        let mut db = Database::new();
-        let watermark = db.len() as u32;
-        db.add("own", &["A".into(), "B".into(), 0.6.into()]);
-        db.add("own", &["B".into(), "C".into(), 0.7.into()]);
-        let rule = two_hop_rule();
-        // Both pivots produce the A->B->C match; it must appear once.
-        let ms = match_body_incremental(&mut db, &rule, watermark).unwrap();
-        assert_eq!(ms.len(), 1);
+    fn future_watermark_yields_nothing() {
+        let mut db = chain_db();
+        for pivot in 0..2 {
+            assert!(pivot_premises(&mut db, pivot, 999).is_empty());
+        }
     }
 
     #[test]
-    fn future_watermark_yields_nothing() {
-        let mut db = Database::new();
-        db.add("own", &["A".into(), "B".into(), 0.6.into()]);
-        db.add("own", &["B".into(), "C".into(), 0.7.into()]);
+    fn pivot_first_order_probes_the_pivot_signatures() {
+        let mut db = chain_db();
         let rule = two_hop_rule();
-        let ms = match_body_incremental(&mut db, &rule, 999).unwrap();
-        assert!(ms.is_empty());
+        let plan = JoinPlan::for_rule(&rule);
+        plan.build_indexes(&rule, &mut db);
+        assert!(db.has_composite_index(Symbol::new("own"), &[1]));
+        let mut m = MatchMetrics::default();
+        match_chunk(&db, &rule, &plan, &MatchChunk::delta(1, 2), &mut m).unwrap();
+        // One scan over the pivot atom, one probe of own[1] for the
+        // single new fact.
+        assert_eq!((m.scans, m.index_probes), (1, 1));
     }
 }

@@ -50,12 +50,7 @@ mod delta;
 mod matcher;
 
 pub use delta::{Delta, DeltaOutcome, DeltaStrategy};
-pub use matcher::{
-    match_body, match_body_incremental, match_body_incremental_metered,
-    match_body_incremental_planned, match_body_planned, match_body_with, match_body_with_metered,
-    match_chunk, match_chunk_metered, match_chunk_planned, required_indexes, BodyMatch, JoinPlan,
-    MatchChunk, MatchMetrics,
-};
+pub use matcher::{match_chunk, BodyMatch, JoinPlan, MatchChunk, MatchMetrics};
 
 use crate::atom::Fact;
 use crate::checkpoint::{self, AutosavePolicy, CheckpointError, SnapshotParts};
@@ -84,6 +79,12 @@ use std::time::Instant;
 
 /// Configuration of a chase run.
 ///
+/// Every run takes the same evaluation path: joins planned per rule over
+/// composite indexes built at run start, a parallel match phase and a
+/// sequential commit phase. The knobs bound, observe or restrict that
+/// path; only `semi_naive` changes how it enumerates matches, and its off
+/// setting exists as the reference the equivalence tests compare against.
+///
 /// Marked `#[non_exhaustive]`: construct it with [`ChaseConfig::default`]
 /// and the `with_*` setters, so future knobs (sharding, memory caps) are
 /// non-breaking.
@@ -97,25 +98,6 @@ pub struct ChaseConfig {
     /// If true, a violated negative constraint aborts the run with an
     /// error; otherwise violations are collected in the outcome.
     pub fail_on_violation: bool,
-    /// Use positional indexes during matching (default). The engine
-    /// builds every statically-probed index eagerly before the first
-    /// round. Disabling falls back to per-predicate scans — the
-    /// engine-ablation baseline — and to a purely sequential evaluation.
-    ///
-    /// The default is `true` unless the `VADALOG_NO_INDEX` environment
-    /// variable is set (to anything but `0` or the empty string), which
-    /// flips the process default to the scan-ablation path — the knob CI
-    /// uses to run the whole test suite over the scan code path.
-    pub use_positional_index: bool,
-    /// Plan joins statically per rule (default): probe composite indexes
-    /// binding *all* statically-bound positions of each atom, and serve
-    /// negated-atom and head-satisfaction checks from indexes built for
-    /// their planned signatures. Disabling reverts to the legacy
-    /// single-position probe (first bound position per atom, negation and
-    /// satisfaction by linear scan) — kept as the measured baseline of
-    /// the `join_plan` bench. Only meaningful while
-    /// `use_positional_index` is on.
-    pub join_planning: bool,
     /// Evaluate rules semi-naively: after a rule's first evaluation, only
     /// matches involving at least one new fact are enumerated (default).
     /// Aggregate rules merge those matches into the groups kept from
@@ -171,22 +153,12 @@ pub struct ChaseConfig {
     pub goal_cone: Option<Symbol>,
 }
 
-/// True iff the `VADALOG_NO_INDEX` environment variable requests the
-/// scan-ablation default for [`ChaseConfig::use_positional_index`]. Read
-/// once per process: a config default must not change mid-run.
-fn scan_ablation_default() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| {
-        std::env::var_os("VADALOG_NO_INDEX").is_some_and(|v| !v.is_empty() && v != "0")
-    })
-}
-
 /// True iff the `VADALOG_NO_PRUNE` environment variable disables
 /// goal-directed relevance pruning process-wide: a set
 /// [`ChaseConfig::goal_cone`] is then ignored and every run evaluates
-/// the full program — the ablation mirror of `VADALOG_NO_INDEX`, used by
-/// CI to run the whole suite over the unpruned path. Read once per
-/// process: pruning must not change mid-run.
+/// the full program — used by CI to run the whole suite over the
+/// unpruned path. Read once per process: pruning must not change
+/// mid-run.
 fn prune_ablation_default() -> bool {
     static FLAG: OnceLock<bool> = OnceLock::new();
     *FLAG.get_or_init(|| {
@@ -200,8 +172,6 @@ impl Default for ChaseConfig {
             max_rounds: 10_000,
             max_facts: 5_000_000,
             fail_on_violation: false,
-            use_positional_index: !scan_ablation_default(),
-            join_planning: true,
             semi_naive: true,
             threads: 0,
             guard: RunGuard::default(),
@@ -235,20 +205,6 @@ impl ChaseConfig {
     /// Sets whether a violated constraint aborts the run.
     pub fn with_fail_on_violation(mut self, fail: bool) -> ChaseConfig {
         self.fail_on_violation = fail;
-        self
-    }
-
-    /// Enables or disables positional-index matching.
-    pub fn with_positional_index(mut self, use_index: bool) -> ChaseConfig {
-        self.use_positional_index = use_index;
-        self
-    }
-
-    /// Enables or disables static join planning (composite-index probes
-    /// and indexed negation/satisfaction checks). Disabling reverts to
-    /// the legacy single-position probe selection.
-    pub fn with_join_planning(mut self, join_planning: bool) -> ChaseConfig {
-        self.join_planning = join_planning;
         self
     }
 
@@ -530,12 +486,7 @@ impl<'p> ChaseSession<'p> {
                 }
             })?;
         let restore_ns = t.elapsed().as_nanos() as u64;
-        if !loaded.is_partial() {
-            let mut out = loaded;
-            out.report.timings.checkpoint_restore_ns += restore_ns;
-            return Ok(out);
-        }
-        match self.resume(loaded, std::iter::empty()) {
+        match self.resume(loaded) {
             Ok(mut out) => {
                 out.report.timings.checkpoint_restore_ns += restore_ns;
                 Ok(out)
@@ -561,60 +512,28 @@ impl<'p> ChaseSession<'p> {
         Chase::new(self.program, database, self.config.clone()).run()
     }
 
-    /// Continues a previous chase outcome, optionally extended with new
-    /// extensional facts, and re-chases to fixpoint, reusing the database
-    /// and the chase graph (no recomputation of already-derived knowledge;
-    /// new derivations are appended to the provenance).
+    /// Continues a *partial* outcome — one carried by
+    /// [`ChaseError::ResourceExhausted`] or [`ChaseError::WorkerPanic`] —
+    /// to fixpoint, reusing its database and chase graph. The
+    /// continuation replays the very evaluation the trip paused, for any
+    /// program, and reaches a final state bitwise identical to an
+    /// uninterrupted run. A completed outcome is returned unchanged.
     ///
-    /// Two use cases share this entry point:
-    ///
-    /// * **Incremental extension** of a *completed* outcome with new
-    ///   facts. Restricted to *monotone* programs (a single stratum),
-    ///   because this append-only path never revisits conclusions that
-    ///   negation would invalidate — such programs return
-    ///   [`ChaseError::NonMonotoneExtension`]. For stratified programs —
-    ///   and for **retractions**, which this path does not accept at
-    ///   all — use [`ChaseSession::apply_delta`]: it re-checks recorded
-    ///   derivations against grown negated predicates and runs DRed
-    ///   over-delete/re-derive for retracted facts, stratum by stratum,
-    ///   with the same bitwise from-scratch-equivalence contract. The
-    ///   caveats that remain over there are aggregates and existential
-    ///   invention, which fall back to a full re-chase
-    ///   ([`DeltaStrategy::FullRechase`]).
-    /// * **Continuation** of a *partial* outcome (one carried by
-    ///   [`ChaseError::ResourceExhausted`]). Without new facts this
-    ///   replays the very evaluation the trip paused, for any program,
-    ///   and reaches a final state bitwise identical to an uninterrupted
-    ///   run. With new facts, the single-stratum restriction applies.
-    pub fn resume(
-        &self,
-        outcome: ChaseOutcome,
-        new_facts: impl IntoIterator<Item = Fact>,
-    ) -> Result<ChaseOutcome, ChaseError> {
-        let program = self.program;
-        let new_facts: Vec<Fact> = new_facts.into_iter().collect();
-        if program.stratification().strata > 1
-            && (outcome.resume.is_none() || !new_facts.is_empty())
-        {
-            return Err(ChaseError::NonMonotoneExtension);
+    /// To add or retract facts, [`load`](ChaseSession::load) a completed
+    /// outcome and call [`ChaseSession::apply_delta`].
+    pub fn resume(&self, outcome: ChaseOutcome) -> Result<ChaseOutcome, ChaseError> {
+        if !outcome.is_partial() {
+            return Ok(outcome);
         }
+        let program = self.program;
         let ChaseOutcome {
-            mut database,
-            mut graph,
+            database,
+            graph,
             violations,
             resume,
             ..
         } = outcome;
-
-        // Watermark BEFORE the new facts: semi-naive evaluation then only
-        // explores matches touching the extension.
-        let watermark = database.len();
-        for f in new_facts {
-            let (id, fresh) = database.insert(f);
-            if fresh {
-                graph.mark_extensional(id);
-            }
-        }
+        let state = resume.expect("a partial outcome carries its continuation state");
 
         // Rebuild the engine state from the provenance. Aggregate groups
         // are not rebuilt: each aggregate rule's first evaluation after
@@ -640,16 +559,12 @@ impl<'p> ChaseSession<'p> {
         }
 
         let initial_facts = database.len();
-        // For a pure continuation the per-rule watermarks of the trip
-        // point are restored, so the replay sees exactly the deltas the
-        // interrupted run would have seen; added facts land above every
-        // watermark and are therefore always explored.
-        let (last_seen_len, resume_from) = match resume {
-            Some(state) => (state.last_seen_len.clone(), Some(state)),
-            None => (vec![watermark; program.len()], None),
-        };
+        // The per-rule watermarks of the trip point are restored, so the
+        // replay sees exactly the deltas the interrupted run would have
+        // seen.
+        let last_seen_len = state.last_seen_len.clone();
         let metrics = EngineMetrics::new(program, &self.config);
-        let plans = join_plans(program, &self.config);
+        let plans = join_plans(program);
         let postings_at_start = database.postings_built();
         let (cone, pruned_edb_facts) = resolve_cone(program, &self.config, &database);
         let engine = Chase {
@@ -665,16 +580,15 @@ impl<'p> ChaseSession<'p> {
             violations,
             initial_facts,
             report: RunReport::default(),
-            resume_from,
+            resume_from: Some(state),
             metrics,
             plans,
             postings_at_start,
             cone,
             pruned_edb_facts,
         };
-        // `initial_facts` counts the pre-extension closure plus the new
-        // input facts, so `derived_facts` of the result counts only the
-        // *newly* derived knowledge.
+        // `initial_facts` counts the partial closure, so `derived_facts`
+        // of the result counts only what the continuation derived.
         engine.run_in_place()
     }
 }
@@ -868,8 +782,7 @@ struct Chase<'p> {
     resume_from: Option<EngineResume>,
     /// Pre-resolved handles into the run's metrics registry.
     metrics: EngineMetrics,
-    /// Static join plans, one per program rule, computed once up front
-    /// (composite when `config.join_planning`, legacy otherwise).
+    /// Static join plans, one per program rule, computed once up front.
     plans: Vec<JoinPlan>,
     /// `db.postings_built()` at construction, so the run reports only the
     /// posting-list entries it built itself.
@@ -884,19 +797,33 @@ struct Chase<'p> {
     pruned_edb_facts: u64,
 }
 
-/// The per-rule join plans of `program` under `config`.
-fn join_plans(program: &Program, config: &ChaseConfig) -> Vec<JoinPlan> {
-    program
-        .rules()
-        .iter()
-        .map(|rule| {
-            if config.join_planning {
-                JoinPlan::for_rule(rule)
-            } else {
-                JoinPlan::legacy(rule)
+/// The per-rule join plans of `program`.
+fn join_plans(program: &Program) -> Vec<JoinPlan> {
+    program.rules().iter().map(JoinPlan::for_rule).collect()
+}
+
+/// Every match of `rule` that touches a fact with id >= `watermark`: one
+/// pivot-first [`match_chunk`] per positive body atom, deduplicated on
+/// the premise vector (a match touching several new facts is produced by
+/// several pivots) and kept in pivot order.
+fn match_delta(
+    db: &Database,
+    rule: &Rule,
+    plan: &JoinPlan,
+    watermark: u32,
+    metrics: &mut MatchMetrics,
+) -> Result<Vec<BodyMatch>, EvalError> {
+    let mut seen: HashSet<Vec<FactId>> = HashSet::new();
+    let mut out = Vec::new();
+    for pivot in 0..plan.pivots.len() {
+        let chunk = MatchChunk::delta(pivot, watermark);
+        for m in match_chunk(db, rule, plan, &chunk, metrics)? {
+            if seen.insert(m.premises.clone()) {
+                out.push(m);
             }
-        })
-        .collect()
+        }
+    }
+    Ok(out)
 }
 
 /// Resolves [`ChaseConfig::goal_cone`] against the program and the EDB:
@@ -927,7 +854,7 @@ impl<'p> Chase<'p> {
         }
         let initial_facts = db.len();
         let metrics = EngineMetrics::new(program, &config);
-        let plans = join_plans(program, &config);
+        let plans = join_plans(program);
         let postings_at_start = db.postings_built();
         let (cone, pruned_edb_facts) = resolve_cone(program, &config, &db);
         Chase {
@@ -971,21 +898,16 @@ impl<'p> Chase<'p> {
         // Build exactly the planned composite indexes before the first
         // parallel phase: a cold index must never be constructed while the
         // store is shared read-only across matching workers. The plans
-        // cover positive-atom probes plus — under join planning — the
-        // negated-atom and head-satisfaction signatures, so those checks
-        // probe instead of scanning.
+        // cover the positive-atom probes of the full match and of every
+        // pivot-first delta expansion, plus the negated-atom and
+        // head-satisfaction signatures, so those checks probe instead of
+        // scanning. Under goal-directed pruning only cone rules are
+        // indexed: predicates outside the cone stay scan-only dead weight
+        // the run never touches.
         let t = self.timer();
-        if self.config.use_positional_index {
-            // Under goal-directed pruning only cone rules are indexed:
-            // predicates outside the cone stay scan-only dead weight the
-            // run never touches.
-            for (idx, (rule, plan)) in self.program.rules().iter().zip(&self.plans).enumerate() {
-                if !self.rule_in_cone(idx) {
-                    continue;
-                }
-                for (pred, sig) in plan.required_composite_indexes(rule) {
-                    self.db.ensure_composite_index(pred, &sig);
-                }
+        for (idx, (rule, plan)) in self.program.rules().iter().zip(&self.plans).enumerate() {
+            if self.rule_in_cone(idx) {
+                plan.build_indexes(rule, &mut self.db);
             }
         }
         self.report.timings.index_build_ns += lap(t);
@@ -1084,11 +1006,7 @@ impl<'p> Chase<'p> {
                 let matches_before = self.report.total_matches();
                 // Phase 1: enumerate every applicable rule's matches
                 // against the round-start snapshot, in parallel.
-                let phase = if self.config.use_positional_index {
-                    self.match_phase(stratum, snapshot_len, threads, &armed)
-                } else {
-                    MatchPhaseOutput::empty()
-                };
+                let phase = self.match_phase(stratum, snapshot_len, threads, &armed);
                 self.report.timings.match_ns += phase.match_ns;
                 self.report.timings.merge_ns += phase.merge_ns;
                 for (idx, metrics, enumerated) in &phase.rule_metrics {
@@ -1585,7 +1503,6 @@ impl<'p> Chase<'p> {
     /// run, a rule that keeps none) one full match folds every group.
     fn is_incremental(&self, idx: usize, rule: &Rule, watermark: usize) -> bool {
         self.config.semi_naive
-            && self.config.use_positional_index
             && watermark != usize::MAX
             && !rule.is_constraint()
             && (!rule.has_aggregate() || self.agg_groups[idx].is_some())
@@ -1599,9 +1516,7 @@ impl<'p> Chase<'p> {
     /// another group or rule; once that fact is superseded, a full
     /// re-match fires the unchanged group again and derives a fresh fact.
     fn keeps_groups(&self, rule: &Rule) -> bool {
-        self.config.semi_naive
-            && self.config.use_positional_index
-            && rule.existential_variables().is_empty()
+        self.config.semi_naive && rule.existential_variables().is_empty()
     }
 
     /// The parallel match phase: enumerates the body matches of every
@@ -1636,8 +1551,8 @@ impl<'p> Chase<'p> {
             if self.is_incremental(idx, rule, watermark) {
                 for (pivot, atom) in rule.positive_body().enumerate() {
                     // A pivot atom with no fact past the watermark matches
-                    // nothing; its expansion would still walk the whole
-                    // join prefix before it.
+                    // nothing; skipping it spares the chunks their
+                    // outermost lookup.
                     let ids = self.db.facts_of(atom.predicate);
                     if ids.last().is_none_or(|id| (id.0 as usize) < watermark) {
                         continue;
@@ -1651,7 +1566,6 @@ impl<'p> Chase<'p> {
                                 pivot: Some((pivot, watermark as u32)),
                                 part,
                                 parts,
-                                use_index: true,
                             },
                         });
                     }
@@ -1666,7 +1580,6 @@ impl<'p> Chase<'p> {
                             pivot: None,
                             part,
                             parts,
-                            use_index: true,
                         },
                     });
                 }
@@ -1764,7 +1677,7 @@ impl<'p> Chase<'p> {
             panic::catch_unwind(AssertUnwindSafe(|| {
                 faultpoint::trigger("chase.match_chunk");
                 let mut metrics = MatchMetrics::default();
-                match_chunk_planned(&self.db, item.rule, item.plan, &item.chunk, &mut metrics)
+                match_chunk(&self.db, item.rule, item.plan, &item.chunk, &mut metrics)
                     .map(|ms| (ms, metrics))
             }))
             .map_err(|payload| {
@@ -1922,35 +1835,20 @@ impl<'p> Chase<'p> {
             let mut metrics = MatchMetrics::default();
             let phase = phase_matches.remove(&idx).transpose().map_err(eval_err)?;
             let phase_count = phase.as_ref().map_or(0, Vec::len);
-            // An indexed rule the snapshot phase skipped (`watermark ==
+            let plan = &self.plans[idx];
+            // A rule the snapshot phase skipped (`watermark ==
             // snapshot_len`) is left with the top-up alone, which would
             // fold an aggregate rule without kept groups over this
             // round's new contributors only.
-            let rederive = completion
-                || (self.config.use_positional_index
-                    && phase.is_none()
-                    && rule.has_aggregate()
-                    && !incremental);
+            let rederive = completion || (phase.is_none() && rule.has_aggregate() && !incremental);
             let mut matches = if rederive {
                 if incremental {
-                    match_body_incremental_planned(
-                        &mut self.db,
-                        rule,
-                        &self.plans[idx],
-                        watermark as u32,
-                        &mut metrics,
-                    )
+                    match_delta(&self.db, rule, plan, watermark as u32, &mut metrics)
                 } else {
-                    match_body_planned(
-                        &mut self.db,
-                        rule,
-                        &self.plans[idx],
-                        self.config.use_positional_index,
-                        &mut metrics,
-                    )
+                    match_chunk(&self.db, rule, plan, &MatchChunk::full(), &mut metrics)
                 }
                 .map_err(eval_err)?
-            } else if self.config.use_positional_index {
+            } else {
                 // Top-up: matches touching facts committed by lower-id
                 // rules earlier in this round (ids >= the snapshot). This
                 // restores sequential intra-round visibility; it is empty
@@ -1963,23 +1861,11 @@ impl<'p> Chase<'p> {
                 };
                 if current_len > topup_from {
                     matches.extend(
-                        match_body_incremental_planned(
-                            &mut self.db,
-                            rule,
-                            &self.plans[idx],
-                            topup_from as u32,
-                            &mut metrics,
-                        )
-                        .map_err(eval_err)?,
+                        match_delta(&self.db, rule, plan, topup_from as u32, &mut metrics)
+                            .map_err(eval_err)?,
                     );
                 }
                 matches
-            } else {
-                // Index-free ablation baseline: plain sequential
-                // re-matching at the rule's turn, as in the original
-                // engine.
-                match_body_with_metered(&mut self.db, rule, false, &mut metrics)
-                    .map_err(eval_err)?
             };
             {
                 // Snapshot-phase matches were already counted at merge
@@ -2132,15 +2018,10 @@ impl<'p> Chase<'p> {
                 })
                 .collect();
             self.report.rules[rule_id.0].isomorphism_checks += 1;
-            // Under join planning the head-signature index was built
-            // eagerly, so this is a hash probe; the scan path remains for
-            // the ablation baseline and for unplanned (all-existential)
-            // heads.
-            let (hit, probed) = if self.config.use_positional_index {
-                self.db.find_matching_metered(head.predicate, &pattern)
-            } else {
-                (self.db.find_matching_scan(head.predicate, &pattern), false)
-            };
+            // The head-signature index was built at run start, so this is
+            // a hash probe; all-existential heads have no signature and
+            // scan.
+            let (hit, probed) = self.db.find_matching_metered(head.predicate, &pattern);
             if probed {
                 self.report.rules[rule_id.0].satisfaction_probes += 1;
             } else {
@@ -2758,17 +2639,40 @@ mod tests {
             .run(db)
             .unwrap();
         assert_eq!(out.derived_facts, 1);
-        // A monotone single-rule program for the incremental extension.
-        let program = Program::new(vec![control_program().rules()[0].clone()]).unwrap();
-        let base = ChaseSession::new(&program).run(Database::new()).unwrap();
-        let out = ChaseSession::new(&program)
-            .with_config(ChaseConfig::default())
-            .resume(
-                base,
-                [Fact::new("own", vec!["B".into(), "C".into(), 0.9.into()])],
-            )
+        // Resuming a completed outcome hands it back unchanged.
+        let resumed = ChaseSession::new(&control_program())
+            .resume(out.clone())
             .unwrap();
-        assert_eq!(out.derived_facts, 1);
+        assert_eq!(resumed.derived_facts, 1);
+        assert_eq!(resumed.database.len(), out.database.len());
+    }
+
+    #[test]
+    fn delta_matches_are_deduplicated_across_pivots() {
+        // own(x,z,_), own(z,y,_) over two new facts: both pivots produce
+        // the A->B->C match; it must appear once.
+        let rule = RuleBuilder::new("r")
+            .body(Atom::new(
+                "own",
+                vec![Term::var("x"), Term::var("z"), Term::var("s1")],
+            ))
+            .body(Atom::new(
+                "own",
+                vec![Term::var("z"), Term::var("y"), Term::var("s2")],
+            ))
+            .head(Atom::new("p", vec![Term::var("x"), Term::var("y")]));
+        let mut db = Database::new();
+        db.add("own", &["A".into(), "B".into(), 0.6.into()]);
+        db.add("own", &["B".into(), "C".into(), 0.7.into()]);
+        let plan = JoinPlan::for_rule(&rule);
+        plan.build_indexes(&rule, &mut db);
+        let metrics = &mut MatchMetrics::default();
+        let ms = match_delta(&db, &rule, &plan, 0, metrics).unwrap();
+        assert_eq!(ms.len(), 1);
+        assert_eq!(ms[0].premises, vec![FactId(0), FactId(1)]);
+        assert!(match_delta(&db, &rule, &plan, 2, metrics)
+            .unwrap()
+            .is_empty());
     }
 }
 
@@ -2889,41 +2793,6 @@ mod determinism_tests {
     }
 
     #[test]
-    fn resume_is_identical_across_thread_counts() {
-        let program = parse_program(
-            "o1: own(x, y, s), s > 0.5 -> control(x, y).
-             o3: control(x, z), own(z, y, s), ts = sum(s), ts > 0.5 -> control(x, y).",
-        )
-        .unwrap()
-        .program;
-        let extension: Vec<Fact> = (0..6)
-            .map(|i| {
-                Fact::new(
-                    "own",
-                    vec![
-                        format!("c{i}").as_str().into(),
-                        format!("c{}", (i + 1) % 6).as_str().into(),
-                        0.9.into(),
-                    ],
-                )
-            })
-            .collect();
-        let run_at = |threads: usize| {
-            let session = ChaseSession::new(&program).with_threads(threads);
-            let base = session.run(ladder_db(6)).unwrap();
-            session.resume(base, extension.clone()).unwrap()
-        };
-        let reference = fingerprint(&run_at(1));
-        for threads in [2, 8] {
-            assert_eq!(
-                fingerprint(&run_at(threads)),
-                reference,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn naive_mode_is_identical_across_thread_counts() {
         let program = parse_program(
             "o1: own(x, y, s), s > 0.5 -> control(x, y).
@@ -2944,29 +2813,6 @@ mod determinism_tests {
                 .run(ladder_db(8))
                 .unwrap();
             assert_eq!(fingerprint(&out), reference_fp, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn scan_ablation_agrees_with_indexed_chase_on_fact_sets() {
-        let program = parse_program(
-            "o1: own(x, y, s), s > 0.5 -> control(x, y).
-             o2: company(x) -> control(x, x).
-             o3: control(x, z), own(z, y, s), ts = sum(s), ts > 0.5 -> control(x, y).",
-        )
-        .unwrap()
-        .program;
-        let indexed = ChaseSession::new(&program)
-            .with_threads(4)
-            .run(ladder_db(8))
-            .unwrap();
-        let scanned = ChaseSession::new(&program)
-            .with_config(ChaseConfig::default().with_positional_index(false))
-            .run(ladder_db(8))
-            .unwrap();
-        assert_eq!(indexed.database.len(), scanned.database.len());
-        for (_, fact) in indexed.database.iter() {
-            assert!(scanned.database.contains(fact), "missing {fact}");
         }
     }
 }
@@ -3076,118 +2922,6 @@ mod stratified_tests {
         // The proof of isolated("z") rests on node("z") (negation leaves
         // no positive premise for reach).
         assert_eq!(proof.steps(), 1);
-    }
-}
-
-#[cfg(test)]
-mod extend_tests {
-    use super::*;
-    use crate::parser::parse_program;
-    use crate::provenance::DerivationPolicy;
-
-    fn chase(program: &Program, db: Database) -> Result<ChaseOutcome, ChaseError> {
-        ChaseSession::new(program).run(db)
-    }
-
-    fn control_text() -> &'static str {
-        r#"
-        o1: own(x, y, s), s > 0.5 -> control(x, y).
-        o3: control(x, z), own(z, y, s), ts = sum(s), ts > 0.5 -> control(x, y).
-        "#
-    }
-
-    #[test]
-    fn extension_derives_the_new_consequences() {
-        let program = parse_program(control_text()).unwrap().program;
-        let mut db = Database::new();
-        db.add("own", &["A".into(), "B".into(), 0.9.into()]);
-        let first = chase(&program, db).unwrap();
-        assert_eq!(first.derived_facts, 1);
-
-        let extended = ChaseSession::new(&program)
-            .resume(
-                first,
-                [Fact::new("own", vec!["B".into(), "C".into(), 0.9.into()])],
-            )
-            .unwrap();
-        // New knowledge: control(B,C) and control(A,C).
-        assert_eq!(extended.derived_facts, 2);
-        assert!(extended
-            .database
-            .contains(&Fact::new("control", vec!["A".into(), "C".into()])));
-    }
-
-    #[test]
-    fn extension_equals_from_scratch_closure() {
-        let program = parse_program(control_text()).unwrap().program;
-        let all: Vec<Fact> = vec![
-            Fact::new("own", vec!["A".into(), "B".into(), 0.8.into()]),
-            Fact::new("own", vec!["B".into(), "C".into(), 0.3.into()]),
-            Fact::new("own", vec!["A".into(), "C".into(), 0.4.into()]),
-            Fact::new("own", vec!["C".into(), "D".into(), 0.9.into()]),
-        ];
-        for split in 0..=all.len() {
-            let scratch = chase(&program, all.clone().into_iter().collect()).unwrap();
-            let base = chase(&program, all[..split].iter().cloned().collect()).unwrap();
-            let ext = ChaseSession::new(&program)
-                .resume(base, all[split..].to_vec())
-                .unwrap();
-            assert_eq!(scratch.database.len(), ext.database.len(), "split {split}");
-            for (_, fact) in scratch.database.iter() {
-                assert!(ext.database.contains(fact), "split {split}: missing {fact}");
-            }
-        }
-    }
-
-    #[test]
-    fn extension_keeps_and_grows_provenance() {
-        let program = parse_program(control_text()).unwrap().program;
-        let mut db = Database::new();
-        db.add("own", &["A".into(), "B".into(), 0.9.into()]);
-        let first = chase(&program, db).unwrap();
-        let derivations_before = first.graph.derivations().len();
-
-        let ext = ChaseSession::new(&program)
-            .resume(
-                first,
-                [Fact::new("own", vec!["B".into(), "C".into(), 0.9.into()])],
-            )
-            .unwrap();
-        assert!(ext.graph.derivations().len() > derivations_before);
-        // Proofs over the extended graph still linearize.
-        let id = ext
-            .lookup(&Fact::new("control", vec!["A".into(), "C".into()]))
-            .unwrap();
-        let tau = ext
-            .graph
-            .proof(id, DerivationPolicy::Richest)
-            .linearize(&ext.graph);
-        assert_eq!(tau.len(), 2);
-    }
-
-    #[test]
-    fn non_monotone_programs_are_rejected() {
-        let program = parse_program(
-            "r1: a(x) -> b(x).
-             r2: e(x), not b(x) -> c(x).",
-        )
-        .unwrap()
-        .program;
-        let first = chase(&program, Database::new()).unwrap();
-        let err = ChaseSession::new(&program).resume(first, [Fact::new("a", vec!["x".into()])]);
-        assert!(matches!(err, Err(ChaseError::NonMonotoneExtension)));
-    }
-
-    #[test]
-    fn empty_extension_changes_nothing() {
-        let program = parse_program(control_text()).unwrap().program;
-        let mut db = Database::new();
-        db.add("own", &["A".into(), "B".into(), 0.9.into()]);
-        let first = chase(&program, db).unwrap();
-        let before = first.database.len();
-        let ext = ChaseSession::new(&program).resume(first, []).unwrap();
-        assert_eq!(ext.database.len(), before);
-        assert_eq!(ext.derived_facts, 0);
     }
 }
 
@@ -3348,11 +3082,8 @@ mod aggregate_supersession_tests {
             r#"tot("f",0)"#,
         ];
         for config in [
-            ChaseConfig::default().with_positional_index(true),
-            ChaseConfig::default()
-                .with_positional_index(true)
-                .with_semi_naive(false),
-            ChaseConfig::default().with_positional_index(false),
+            ChaseConfig::default(),
+            ChaseConfig::default().with_semi_naive(false),
         ] {
             assert_eq!(tot(&run(config.clone())), expected, "{config:?}");
         }
@@ -3520,7 +3251,7 @@ mod governance_tests {
                         tripped += 1;
                         assert!(partial.is_partial());
                         assert_eq!(b, Budget::Facts(budget));
-                        session.resume(*partial, []).unwrap()
+                        session.resume(*partial).unwrap()
                     }
                     Ok(done) => done, // budget above the fixpoint size
                     Err(other) => panic!("unexpected error: {other}"),
@@ -3537,8 +3268,7 @@ mod governance_tests {
 
     #[test]
     fn stratified_interrupted_runs_resume_without_new_facts() {
-        // Continuation of a partial outcome is sound for *any* program;
-        // only extension with new facts is restricted to one stratum.
+        // Continuation of a partial outcome is sound for *any* program.
         let program = parse_program(
             "r1: edge(x, y) -> reach(y).
              r2: reach(x), edge(x, y) -> reach(y).
@@ -3573,7 +3303,7 @@ mod governance_tests {
             let resumed = match governed {
                 Err(ChaseError::ResourceExhausted { partial, .. }) => {
                     tripped += 1;
-                    session.resume(*partial, []).unwrap()
+                    session.resume(*partial).unwrap()
                 }
                 Ok(done) => done,
                 Err(other) => panic!("unexpected error: {other}"),
@@ -3581,18 +3311,19 @@ mod governance_tests {
             assert_eq!(fingerprint(&resumed), reference, "budget={budget}");
         }
         assert!(tripped > 0);
-        // Extending a *stratified* partial outcome with new facts is still
-        // rejected.
-        let partial = match ChaseSession::new(&program)
-            .with_guard(RunGuard::default().with_max_facts(42))
-            .run(build())
-        {
-            Err(ChaseError::ResourceExhausted { partial, .. }) => *partial,
-            other => panic!("expected a trip, got {other:?}"),
-        };
-        let err =
-            ChaseSession::new(&program).resume(partial, [Fact::new("node", vec!["extra".into()])]);
-        assert!(matches!(err, Err(ChaseError::NonMonotoneExtension)));
+    }
+
+    #[test]
+    fn resuming_a_completed_outcome_returns_it_unchanged() {
+        let program = control_program();
+        let out = ChaseSession::new(&program).run(ladder_db(6)).unwrap();
+        let resumed = ChaseSession::new(&program).resume(out.clone()).unwrap();
+        assert_eq!(fingerprint(&resumed), fingerprint(&out));
+        assert_eq!(resumed.derived_facts, out.derived_facts);
+        assert_eq!(
+            resumed.report.count_fingerprint(),
+            out.report.count_fingerprint()
+        );
     }
 
     #[test]
@@ -3617,10 +3348,7 @@ mod governance_tests {
             db.add("a", &["y".into()]);
             db
         };
-        // The hand-computed counts assume the indexed snapshot/top-up
-        // path, so pin it against VADALOG_NO_INDEX.
         let out = ChaseSession::new(&program)
-            .with_config(ChaseConfig::default().with_positional_index(true))
             .with_threads(1)
             .run(build())
             .unwrap();
@@ -3656,7 +3384,6 @@ mod governance_tests {
         // The count fingerprint is thread-invariant.
         for threads in [2, 8] {
             let other = ChaseSession::new(&program)
-                .with_config(ChaseConfig::default().with_positional_index(true))
                 .with_threads(threads)
                 .run(build())
                 .unwrap();

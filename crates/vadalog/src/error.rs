@@ -166,11 +166,6 @@ pub enum ChaseError {
         /// The constraint rule label.
         rule: String,
     },
-    /// An incremental extension was requested for a program with
-    /// negation (more than one stratum): added facts could invalidate
-    /// earlier conclusions, so the closure must be recomputed from
-    /// scratch.
-    NonMonotoneExtension,
     /// A worker panicked while evaluating a rule in the parallel match
     /// phase. The panic was isolated (`catch_unwind`): the process
     /// survives, and the error carries the deterministic state of the
@@ -285,10 +280,6 @@ impl fmt::Display for ChaseError {
             ChaseError::ConstraintViolated { rule } => {
                 write!(f, "negative constraint `{}` violated", rule)
             }
-            ChaseError::NonMonotoneExtension => write!(
-                f,
-                "incremental extension requires a negation-free (single-stratum) program"
-            ),
             ChaseError::WorkerPanic { rule, message, .. } => write!(
                 f,
                 "worker panicked evaluating rule `{}`: {}; partial outcome retained",
@@ -366,7 +357,8 @@ mod tests {
         };
         let source = std::error::Error::source(&e).expect("chained source");
         assert_eq!(source.to_string(), "division by zero");
-        assert!(std::error::Error::source(&ChaseError::NonMonotoneExtension).is_none());
+        let violated = ChaseError::ConstraintViolated { rule: "v1".into() };
+        assert!(std::error::Error::source(&violated).is_none());
     }
 
     #[test]

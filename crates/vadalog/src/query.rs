@@ -3,14 +3,16 @@
 
 use crate::atom::Atom;
 use crate::database::Database;
-use crate::engine::match_body;
+use crate::engine::{match_chunk, JoinPlan, MatchChunk, MatchMetrics};
 use crate::error::EvalError;
 use crate::expr::{Bindings, Condition};
 use crate::program::Program;
 use crate::rule::{Head, Literal, Rule};
 
 /// Evaluates a conjunctive query (positive atoms + conditions) against the
-/// database, returning one binding set per match.
+/// database, returning one binding set per match. Takes `&mut Database`
+/// to build the query's join-plan indexes first; no fact is added or
+/// removed.
 ///
 /// ```
 /// use vadalog::prelude::*;
@@ -42,7 +44,10 @@ pub fn select(
         aggregate: None,
         head: Head::Falsum,
     };
-    Ok(match_body(db, &rule)?
+    let plan = JoinPlan::for_rule(&rule);
+    plan.build_indexes(&rule, db);
+    let metrics = &mut MatchMetrics::default();
+    Ok(match_chunk(db, &rule, &plan, &MatchChunk::full(), metrics)?
         .into_iter()
         .map(|m| m.bindings)
         .collect())

@@ -42,7 +42,8 @@ impl std::hash::Hash for Value {
             }
             Value::Float(f) => {
                 state.write_u8(2);
-                state.write_u64(f.to_bits());
+                // `0.0 == -0.0`, so both must hash alike.
+                state.write_u64(if *f == 0.0 { 0 } else { f.to_bits() });
             }
             Value::Bool(b) => {
                 state.write_u8(3);
@@ -211,5 +212,13 @@ mod tests {
     fn float_display_keeps_one_decimal_for_integral() {
         assert_eq!(Value::Float(6.0).to_string(), "6.0");
         assert_eq!(Value::Float(0.55).to_string(), "0.55");
+    }
+
+    #[test]
+    fn signed_zeros_are_equal_and_hash_alike() {
+        // Regression: equal values with different hashes split index
+        // postings and fact dedup.
+        assert_eq!(Value::Float(0.0), Value::Float(-0.0));
+        assert_eq!(hash_of(&Value::Float(0.0)), hash_of(&Value::Float(-0.0)));
     }
 }

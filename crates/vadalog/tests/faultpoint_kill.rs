@@ -204,7 +204,7 @@ fn autosave_io_failure_returns_a_resumable_partial() {
         }) => {
             assert!(partial.is_partial());
             assert_eq!(partial.report.termination, Termination::Suspended);
-            let out = session.resume(*partial, std::iter::empty()).unwrap();
+            let out = session.resume(*partial).unwrap();
             assert_eq!(fingerprint(&out), expected);
         }
         other => panic!("expected ChaseError::Checkpoint with a partial, got {other:?}"),
@@ -239,7 +239,7 @@ fn worker_panic_is_isolated_and_resumable() {
                     );
                     assert!(partial.is_partial());
                     // In-memory continuation of the carried partial.
-                    let out = session.resume(*partial, std::iter::empty()).unwrap();
+                    let out = session.resume(*partial).unwrap();
                     assert_eq!(
                         fingerprint(&out),
                         expected,

@@ -247,9 +247,7 @@ fn provenance_fingerprint(out: &ChaseOutcome) -> String {
 /// Asserts the semi-naive chase of `build()` bitwise equal to the naive
 /// (full re-match) reference at 1, 2 and 8 threads.
 fn assert_semi_naive_equals_naive(program: &Program, build: impl Fn() -> Database) {
-    let naive_cfg = ChaseConfig::default()
-        .with_positional_index(true)
-        .with_semi_naive(false);
+    let naive_cfg = ChaseConfig::default().with_semi_naive(false);
     let naive = ChaseSession::new(program)
         .with_config(naive_cfg.with_threads(1))
         .run(build())
@@ -257,7 +255,6 @@ fn assert_semi_naive_equals_naive(program: &Program, build: impl Fn() -> Databas
     let expected = provenance_fingerprint(&naive);
     for threads in [1usize, 2, 8] {
         let semi = ChaseSession::new(program)
-            .with_config(ChaseConfig::default().with_positional_index(true))
             .with_threads(threads)
             .run(build())
             .unwrap();
@@ -284,10 +281,7 @@ fn semi_naive_refolds_groups_that_only_lose_contributors() {
     let build = || parsed.facts.iter().cloned().collect::<Database>();
     assert_semi_naive_equals_naive(&parsed.program, build);
 
-    let out = ChaseSession::new(&parsed.program)
-        .with_config(ChaseConfig::default().with_positional_index(true))
-        .run(build())
-        .unwrap();
+    let out = ChaseSession::new(&parsed.program).run(build()).unwrap();
     let small = |n: i64| {
         out.lookup(&Fact::new("small", vec![Value::Int(1), Value::Int(n)]))
             .unwrap_or_else(|| panic!("small(1, {n}) derived"))
@@ -325,10 +319,7 @@ fn semi_naive_refires_groups_preempted_by_a_superseded_fact() {
         let build = || parsed.facts.iter().cloned().collect::<Database>();
         assert_semi_naive_equals_naive(&parsed.program, build);
 
-        let out = ChaseSession::new(&parsed.program)
-            .with_config(ChaseConfig::default().with_positional_index(true))
-            .run(build())
-            .unwrap();
+        let out = ChaseSession::new(&parsed.program).run(build()).unwrap();
         let q = Symbol::new("q");
         let mut sums: Vec<Value> = out
             .database
@@ -387,10 +378,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Incremental extension is equivalent to closing everything from
-    /// scratch, for any split point of a random ownership fact set.
+    /// Adding facts to a loaded outcome with `apply_delta` closes to the
+    /// same fact set as a chase from scratch, for any split point of a
+    /// random ownership fact set. The program aggregates, so the delta
+    /// takes the full re-chase over the updated EDB.
     #[test]
-    fn extend_chase_equals_scratch(
+    fn added_facts_close_like_scratch_at_any_split(
         inputs in prop::collection::vec((0u8..8, 0u8..8, 30u8..100), 0..14),
         split_ratio in 0.0f64..1.0,
     ) {
@@ -414,10 +407,13 @@ proptest! {
         let split = ((facts.len() as f64) * split_ratio) as usize;
 
         let scratch = ChaseSession::new(&program).run(facts.clone().into_iter().collect()).unwrap();
-        let base = ChaseSession::new(&program).run(facts[..split].iter().cloned().collect()).unwrap();
-        let ext = ChaseSession::new(&program)
-            .resume(base, facts[split..].to_vec())
+        let mut session = ChaseSession::new(&program);
+        let base = session.run(facts[..split].iter().cloned().collect()).unwrap();
+        session.load(base);
+        let applied = session
+            .apply_delta(Delta::new().add_all(facts[split..].to_vec()))
             .unwrap();
+        let ext = &applied.outcome;
 
         prop_assert_eq!(scratch.database.len(), ext.database.len());
         for (_, fact) in scratch.database.iter() {
