@@ -12,7 +12,7 @@
 //! 5. **Semi-naive evaluation**: chase wall-time with and without delta
 //!    evaluation.
 
-use explain::{ExplanationPipeline, TemplateFlavor};
+use explain::{Explainer, ProgramArtifacts, TemplateFlavor};
 use finkg::apps::control;
 use llm_sim::retained_ratio;
 use studies::comprehension::{run as run_comprehension, ComprehensionConfig};
@@ -38,20 +38,19 @@ fn ablation_policy() {
         let mut n = 0usize;
         for seed in 0..6u64 {
             let bundle = finkg::control_bundle_aggregated(3, 2, seed);
-            let pipeline = ExplanationPipeline::builder(program.clone(), control::GOAL)
+            let artifacts = ProgramArtifacts::builder(program.clone(), control::GOAL)
                 .with_glossary(&glossary)
-                .with_policy(policy)
-                .build()
-                .expect("pipeline");
+                .build_cached()
+                .expect("artifacts");
             let outcome = ChaseSession::new(&program)
                 .run(bundle.database.clone())
                 .expect("chase");
+            let explainer = Explainer::for_snapshot(artifacts, outcome).with_policy(policy);
+            let outcome = explainer.outcome();
             for target in &bundle.targets {
                 let id = outcome.lookup(target).expect("derived");
-                let e = pipeline
-                    .explain_id(&outcome, id, TemplateFlavor::Enhanced)
-                    .expect("explainable");
-                let constants = proof_constants(&outcome, id, &glossary);
+                let e = explainer.explain_id(id).expect("explainable");
+                let constants = proof_constants(outcome, id, &glossary);
                 total_completeness += retained_ratio(&e.text, &constants);
                 n += 1;
             }
@@ -72,24 +71,25 @@ fn ablation_flavor() {
     println!("== Ablation 2: template flavour (12-step control chains) ==");
     let program = control::program();
     let glossary = control::glossary();
-    let pipeline = ExplanationPipeline::builder(program.clone(), control::GOAL)
+    let artifacts = ProgramArtifacts::builder(program.clone(), control::GOAL)
         .with_glossary(&glossary)
-        .build()
-        .expect("pipeline");
+        .build_cached()
+        .expect("artifacts");
     let bundle = finkg::control_bundle(12, 5, 3);
     let outcome = ChaseSession::new(&program)
         .run(bundle.database.clone())
         .expect("chase");
+    let explainer = Explainer::for_snapshot(artifacts, outcome);
+    let outcome = explainer.outcome();
     for flavor in [TemplateFlavor::Deterministic, TemplateFlavor::Enhanced] {
+        let explainer = explainer.clone().with_flavor(flavor);
         let mut len_total = 0usize;
         let mut complete = true;
         for target in &bundle.targets {
             let id = outcome.lookup(target).expect("derived");
-            let e = pipeline
-                .explain_id(&outcome, id, flavor)
-                .expect("explainable");
+            let e = explainer.explain_id(id).expect("explainable");
             len_total += e.text.len();
-            let constants = proof_constants(&outcome, id, &glossary);
+            let constants = proof_constants(outcome, id, &glossary);
             complete &= retained_ratio(&e.text, &constants) == 1.0;
         }
         println!(

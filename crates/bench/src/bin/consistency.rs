@@ -19,7 +19,7 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     for case in expert_cases() {
         let det = case.deterministic_text();
-        let constants = proof_constants(&case.outcome, case.target, &case.glossary);
+        let constants = proof_constants(case.explainer.outcome(), case.target, &case.glossary);
         for prompt in [Prompt::Paraphrase, Prompt::Summarize] {
             let llm = SimulatedLlm::new(prompt, 6);
             let outputs: Vec<String> = (0..RUNS).map(|r| llm.rewrite(&det, r)).collect();

@@ -23,11 +23,11 @@
 //!
 //! Usage: `cargo run --release -p bench --bin goal_directed [-- DATE]`.
 
-use explain::{DomainGlossary, ProgramArtifacts, TemplateFlavor};
+use explain::{DomainGlossary, Explainer, ProgramArtifacts};
 use std::sync::Arc;
 use std::time::Instant;
 use vadalog::telemetry::JsonWriter;
-use vadalog::{ChaseOutcome, ChaseSession, Database, DerivationPolicy, Program};
+use vadalog::{ChaseOutcome, ChaseSession, Database, Program};
 
 const REPS: usize = 3;
 /// The acceptance bar from the issue: the cone-pruned explain path must
@@ -93,9 +93,11 @@ fn workloads() -> Vec<Workload> {
 }
 
 /// Renders every goal explanation of `out` into one comparable blob.
-fn rendered(artifacts: &ProgramArtifacts, out: &ChaseOutcome) -> Vec<String> {
-    artifacts
-        .report(out, TemplateFlavor::Enhanced, DerivationPolicy::Richest)
+/// The caller keeps `out` alive, so dropping it stays outside any timed
+/// region.
+fn rendered(artifacts: &Arc<ProgramArtifacts>, out: &Arc<ChaseOutcome>) -> Vec<String> {
+    Explainer::for_snapshot(Arc::clone(artifacts), Arc::clone(out))
+        .report()
         .expect("report must succeed")
         .into_iter()
         .map(|e| {
@@ -131,14 +133,18 @@ fn run(w: &Workload) -> BenchRow {
     let cone = Arc::clone(artifacts.goal_cone());
 
     // Correctness gate first: pruned explanations must be byte-identical.
-    let full = ChaseSession::new(&w.program)
-        .with_threads(1)
-        .run(w.db.clone())
-        .unwrap();
-    let pruned = ChaseSession::new(&w.program)
-        .with_config(artifacts.pruned_chase_config().with_threads(1))
-        .run(w.db.clone())
-        .unwrap();
+    let full = Arc::new(
+        ChaseSession::new(&w.program)
+            .with_threads(1)
+            .run(w.db.clone())
+            .unwrap(),
+    );
+    let pruned = Arc::new(
+        ChaseSession::new(&w.program)
+            .with_config(artifacts.pruned_chase_config().with_threads(1))
+            .run(w.db.clone())
+            .unwrap(),
+    );
     let reference = rendered(&artifacts, &full);
     assert_eq!(
         rendered(&artifacts, &pruned),
@@ -162,19 +168,23 @@ fn run(w: &Workload) -> BenchRow {
     let mut pruned_ms = f64::INFINITY;
     for _ in 0..REPS {
         let t = Instant::now();
-        let out = ChaseSession::new(&w.program)
-            .with_threads(1)
-            .run(w.db.clone())
-            .unwrap();
+        let out = Arc::new(
+            ChaseSession::new(&w.program)
+                .with_threads(1)
+                .run(w.db.clone())
+                .unwrap(),
+        );
         let report = rendered(&artifacts, &out);
         full_ms = full_ms.min(t.elapsed().as_secs_f64() * 1e3);
         std::hint::black_box(report);
 
         let t = Instant::now();
-        let out = ChaseSession::new(&w.program)
-            .with_config(artifacts.pruned_chase_config().with_threads(1))
-            .run(w.db.clone())
-            .unwrap();
+        let out = Arc::new(
+            ChaseSession::new(&w.program)
+                .with_config(artifacts.pruned_chase_config().with_threads(1))
+                .run(w.db.clone())
+                .unwrap(),
+        );
         let report = rendered(&artifacts, &out);
         pruned_ms = pruned_ms.min(t.elapsed().as_secs_f64() * 1e3);
         std::hint::black_box(report);

@@ -46,13 +46,13 @@ fn collect_live() -> Vec<Node> {
     let out = ChaseSession::new(&finkg::apps::control::program())
         .run(finkg::scenario::database())
         .expect("chase");
-    let pipeline = explain::ExplanationPipeline::builder(
+    let artifacts = explain::ProgramArtifacts::builder(
         finkg::apps::control::program(),
         finkg::apps::control::GOAL,
     )
-    .build()
-    .expect("pipeline");
-    drop((out, pipeline));
+    .build_cached()
+    .expect("artifacts");
+    drop((out, artifacts));
     span::uninstall();
     ring.drain()
         .into_iter()

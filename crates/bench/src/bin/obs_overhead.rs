@@ -25,7 +25,7 @@
 //!
 //! Usage: `cargo run --release -p bench --bin obs_overhead [-- DATE]`.
 
-use explain::{ExplanationPipeline, TemplateFlavor};
+use explain::{Explainer, ProgramArtifacts};
 use finkg::apps::control;
 use std::sync::Arc;
 use vadalog::obs::context::{self, TraceContext};
@@ -39,7 +39,7 @@ const BUNDLE_PROOFS: usize = 8;
 const SEED: u64 = 42;
 const OVERHEAD_BAR: f64 = 1.05;
 
-/// One full Fig. 18-style pass: chase, pipeline, explain every target,
+/// One full Fig. 18-style pass: chase, artifacts, explain every target,
 /// all under a minted trace context (as the serving layer would run
 /// it). Returns wall-clock seconds.
 fn workload() -> f64 {
@@ -51,16 +51,15 @@ fn workload() -> f64 {
     let outcome = ChaseSession::new(&program)
         .run(bundle.database.clone())
         .expect("chase");
-    let pipeline =
-        ExplanationPipeline::builder(program.clone(), bundle.targets[0].predicate.as_str())
+    let artifacts =
+        ProgramArtifacts::builder(program.clone(), bundle.targets[0].predicate.as_str())
             .with_glossary(&glossary)
-            .build()
-            .expect("pipeline");
+            .build_cached()
+            .expect("artifacts");
+    let explainer = Explainer::for_snapshot(artifacts, outcome);
     for target in &bundle.targets {
-        let id = outcome.lookup(target).expect("target derived");
-        pipeline
-            .explain_id(&outcome, id, TemplateFlavor::Enhanced)
-            .expect("explainable");
+        let id = explainer.outcome().lookup(target).expect("target derived");
+        explainer.explain_id(id).expect("explainable");
     }
     t0.elapsed().as_secs_f64()
 }

@@ -3,7 +3,7 @@
 //! of increasing length — and the template-based approach's zero-omission
 //! counterpoint (Sec. 6.3).
 
-use explain::{ExplanationPipeline, TemplateFlavor};
+use explain::{Explainer, ProgramArtifacts, TemplateFlavor};
 use finkg::apps::{control, stress};
 use llm_sim::{omission_ratio, Prompt, SimulatedLlm};
 use stats::Boxplot;
@@ -58,37 +58,34 @@ pub fn run(app: App, steps: &[usize], proofs_per_len: usize, seed: u64) -> Vec<O
             App::CompanyControl => finkg::control_bundle(len, proofs_per_len, seed + len as u64),
             App::StressTest => finkg::stress_bundle(len, proofs_per_len, seed + len as u64),
         };
-        // For even stress lengths the target is a risk fact; the pipeline
+        // For even stress lengths the target is a risk fact; the artifacts'
         // goal must match the target predicate.
         let goal = bundle.targets[0].predicate.as_str();
-        let pipeline = ExplanationPipeline::builder(program.clone(), goal)
+        let artifacts = ProgramArtifacts::builder(program.clone(), goal)
             .with_glossary(&glossary)
-            .build()
-            .expect("pipeline builds");
+            .build_cached()
+            .expect("artifacts build");
         let outcome = ChaseSession::new(&program)
             .run(bundle.database.clone())
             .expect("chase succeeds");
+        let explainer = Explainer::for_snapshot(artifacts, outcome);
+        let deterministic = explainer.clone().with_flavor(TemplateFlavor::Deterministic);
+        let outcome = explainer.outcome();
 
         let mut ratios_para = Vec::with_capacity(proofs_per_len);
         let mut ratios_summ = Vec::with_capacity(proofs_per_len);
         let mut template_max: f64 = 0.0;
         for (i, target) in bundle.targets.iter().enumerate() {
             let id = outcome.lookup(target).expect("target derived");
-            let det = pipeline
-                .explain_id(&outcome, id, TemplateFlavor::Deterministic)
-                .expect("explainable")
-                .text;
-            let constants = proof_constants(&outcome, id, &glossary);
+            let det = deterministic.explain_id(id).expect("explainable").text;
+            let constants = proof_constants(outcome, id, &glossary);
 
             let para = SimulatedLlm::new(Prompt::Paraphrase, seed).rewrite(&det, i as u64);
             let summ = SimulatedLlm::new(Prompt::Summarize, seed).rewrite(&det, i as u64);
             ratios_para.push(omission_ratio(&para, &constants));
             ratios_summ.push(omission_ratio(&summ, &constants));
 
-            let template = pipeline
-                .explain_id(&outcome, id, TemplateFlavor::Enhanced)
-                .expect("explainable")
-                .text;
+            let template = explainer.explain_id(id).expect("explainable").text;
             template_max = template_max.max(omission_ratio(&template, &constants));
         }
         out.push(OmissionPoint {

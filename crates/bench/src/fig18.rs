@@ -3,7 +3,7 @@
 //! templates for one explanation query.
 
 use crate::fig17::App;
-use explain::{ExplanationPipeline, TemplateFlavor};
+use explain::{Explainer, ProgramArtifacts};
 use finkg::apps::{control, stress};
 use stats::Boxplot;
 use std::time::Instant;
@@ -28,7 +28,7 @@ pub fn paper_steps(app: App) -> Vec<usize> {
 }
 
 /// Runs the latency sweep: `proofs_per_len` distinct proofs per length
-/// (paper: 15), explanation generation timed per query (pipeline and chase
+/// (paper: 15), explanation generation timed per query (artifacts and chase
 /// are built once per length, as in a deployed KG application).
 pub fn run(app: App, steps: &[usize], proofs_per_len: usize, seed: u64) -> Vec<LatencyPoint> {
     let (program, glossary) = match app {
@@ -43,23 +43,22 @@ pub fn run(app: App, steps: &[usize], proofs_per_len: usize, seed: u64) -> Vec<L
             App::StressTest => finkg::stress_bundle(len, proofs_per_len, seed + len as u64),
         };
         let goal = bundle.targets[0].predicate.as_str();
-        let pipeline = ExplanationPipeline::builder(program.clone(), goal)
+        let artifacts = ProgramArtifacts::builder(program.clone(), goal)
             .with_glossary(&glossary)
-            .build()
-            .expect("pipeline builds");
+            .build_cached()
+            .expect("artifacts build");
         let outcome = ChaseSession::new(&program)
             .run(bundle.database.clone())
             .expect("chase succeeds");
+        let explainer = Explainer::for_snapshot(artifacts, outcome);
 
         let mut times_us = Vec::with_capacity(proofs_per_len);
         for target in &bundle.targets {
-            let id = outcome.lookup(target).expect("target derived");
+            let id = explainer.outcome().lookup(target).expect("target derived");
             // Warm-up query (index construction etc.), then the timed one.
-            let _ = pipeline.explain_id(&outcome, id, TemplateFlavor::Enhanced);
+            let _ = explainer.explain_id(id);
             let t0 = Instant::now();
-            let e = pipeline
-                .explain_id(&outcome, id, TemplateFlavor::Enhanced)
-                .expect("explainable");
+            let e = explainer.explain_id(id).expect("explainable");
             let dt = t0.elapsed();
             assert_eq!(e.chase_steps, len);
             times_us.push(dt.as_secs_f64() * 1e6);

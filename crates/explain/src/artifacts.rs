@@ -1,7 +1,7 @@
 //! Cached program artifacts: the immutable build product of the
 //! explanation pipeline, separated from per-query state so it can be
 //! shared — across goals in one process, across worker threads in a
-//! server, across pipelines over the same deployed program.
+//! server, across every build of the same deployed program.
 //!
 //! The split mirrors the paper's deployment model (Sec. 5): template
 //! generation happens *once per application*, while explanation queries
@@ -10,8 +10,10 @@
 //! catalogs, per-rule fallbacks, construction telemetry);
 //! [`ArtifactsBuilder`] runs that stage; the process-wide
 //! [`ArtifactCache`] memoizes it by program fingerprint so repeated
-//! builds of the same deployment are free; and [`Explainer`] binds the
-//! shared artifacts to one chase snapshot to answer queries.
+//! builds of the same deployment are free; and [`Explainer`], the only
+//! query handle, binds the shared artifacts to one chase snapshot and
+//! answers explanation queries Q_e under a template flavour, a
+//! derivation policy and an optional per-query [`RunGuard`].
 //!
 //! Everything here is immutable after construction and `Sync`, which is
 //! what makes the serving layer (`serve` crate) possible: N workers
@@ -22,13 +24,12 @@ use crate::enhance::{checked_enhance, Enhancer};
 use crate::error::ExplainError;
 use crate::glossary::DomainGlossary;
 use crate::mapping::{cover_from, instantiate, step_infos, PathCover};
-use crate::pipeline::{Explanation, PipelineReport, PipelineStats, TemplateFlavor};
 use crate::structural::{analyze_with, AnalysisConfig, StructuralAnalysis};
 use crate::template::{generate, single_rule_path, Template, TemplateStyle};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-use vadalog::telemetry::{Budget, RunGuard};
+use vadalog::telemetry::{Budget, JsonWriter, RunGuard};
 use vadalog::{
     ChaseConfig, ChaseOutcome, DerivationId, DerivationPolicy, Fact, FactId, GoalCone, Program,
     RuleId, Symbol,
@@ -53,7 +54,6 @@ pub struct ProgramArtifacts {
     /// The goal's relevance cone over D(Σ), shared with pruned chase
     /// configurations handed out by [`pruned_chase_config`](Self::pruned_chase_config).
     cone: Arc<GoalCone>,
-    stats: PipelineStats,
     report: PipelineReport,
 }
 
@@ -115,11 +115,6 @@ impl ProgramArtifacts {
         }
     }
 
-    /// Construction statistics.
-    pub fn stats(&self) -> &PipelineStats {
-        &self.stats
-    }
-
     /// Construction telemetry: stage timings plus template counters.
     pub fn telemetry(&self) -> &PipelineReport {
         &self.report
@@ -146,126 +141,6 @@ impl ProgramArtifacts {
         let replaced = current.with_segments(segments);
         self.enhanced[index] = replaced;
         Ok(())
-    }
-
-    /// Answers the explanation query Q_e for a fact id (see
-    /// [`ExplanationPipeline::explain_id`](crate::pipeline::ExplanationPipeline::explain_id)
-    /// for the covering semantics).
-    pub fn explain_id(
-        &self,
-        outcome: &ChaseOutcome,
-        id: FactId,
-        flavor: TemplateFlavor,
-        policy: DerivationPolicy,
-    ) -> Result<Explanation, ExplainError> {
-        self.explain_id_governed(outcome, id, flavor, policy, &RunGuard::default())
-    }
-
-    /// [`explain_id`](Self::explain_id) under a per-query [`RunGuard`]:
-    /// the guard's deadline and cancellation token are checked at every
-    /// recursion step, so a slow or stuck query returns
-    /// [`ExplainError::ResourceExhausted`] instead of running away. The
-    /// serving layer uses this to enforce per-request deadlines — a
-    /// goal whose remaining budget is already spent trips on entry.
-    pub fn explain_id_governed(
-        &self,
-        outcome: &ChaseOutcome,
-        id: FactId,
-        flavor: TemplateFlavor,
-        policy: DerivationPolicy,
-        guard: &RunGuard,
-    ) -> Result<Explanation, ExplainError> {
-        if outcome.database.len() <= id.0 as usize {
-            return Err(ExplainError::UnknownFact(id));
-        }
-        let _span = vadalog::span!(
-            "explain.query",
-            fact = outcome.database.fact(id).to_string()
-        );
-        if !outcome.graph.is_derived(id) {
-            return Err(ExplainError::ExtensionalFact(id));
-        }
-        let governor = (!guard.is_unlimited()).then(|| (guard, Instant::now()));
-        if let Some((guard, start)) = governor {
-            artifacts_trip(guard, start)?;
-        }
-
-        let mut visited = std::collections::HashSet::new();
-        let mut texts: Vec<String> = Vec::new();
-        let mut paths: Vec<String> = Vec::new();
-        let chase_steps = self.explain_rec(
-            outcome,
-            id,
-            flavor,
-            policy,
-            governor,
-            &mut visited,
-            &mut texts,
-            &mut paths,
-            0,
-        )?;
-
-        let support = outcome
-            .graph
-            .proof(id, policy)
-            .facts()
-            .into_iter()
-            .map(|f| outcome.database.fact(f).clone())
-            .collect();
-
-        Ok(Explanation {
-            fact: outcome.database.fact(id).clone(),
-            text: texts.join(" "),
-            paths,
-            chase_steps,
-            support,
-        })
-    }
-
-    /// Answers the explanation query for a fact literal.
-    pub fn explain_fact(
-        &self,
-        outcome: &ChaseOutcome,
-        fact: &Fact,
-        flavor: TemplateFlavor,
-        policy: DerivationPolicy,
-    ) -> Result<Explanation, ExplainError> {
-        self.explain_fact_governed(outcome, fact, flavor, policy, &RunGuard::default())
-    }
-
-    /// [`explain_fact`](Self::explain_fact) under a per-query
-    /// [`RunGuard`] (see
-    /// [`explain_id_governed`](Self::explain_id_governed)).
-    pub fn explain_fact_governed(
-        &self,
-        outcome: &ChaseOutcome,
-        fact: &Fact,
-        flavor: TemplateFlavor,
-        policy: DerivationPolicy,
-        guard: &RunGuard,
-    ) -> Result<Explanation, ExplainError> {
-        let id = outcome
-            .lookup(fact)
-            .ok_or(ExplainError::UnknownFact(FactId(u32::MAX)))?;
-        self.explain_id_governed(outcome, id, flavor, policy, guard)
-    }
-
-    /// Produces the *business report* of a chase run: one explanation per
-    /// derived fact of the goal predicate, in derivation order.
-    pub fn report(
-        &self,
-        outcome: &ChaseOutcome,
-        flavor: TemplateFlavor,
-        policy: DerivationPolicy,
-    ) -> Result<Vec<Explanation>, ExplainError> {
-        let goal = self.analysis.goal;
-        outcome
-            .database
-            .facts_of(goal)
-            .iter()
-            .filter(|&&id| outcome.graph.is_derived(id))
-            .map(|&id| self.explain_id(outcome, id, flavor, policy))
-            .collect()
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -516,10 +391,6 @@ impl<'a> ArtifactsBuilder<'a> {
         let program = self.program;
         let mut deterministic = Vec::with_capacity(analysis.paths.len());
         let mut enhanced = Vec::with_capacity(analysis.paths.len());
-        let mut stats = PipelineStats {
-            paths: analysis.paths.len(),
-            ..PipelineStats::default()
-        };
         for (i, path) in analysis.paths.iter().enumerate() {
             artifacts_trip(&self.guard, start)?;
             let t = Instant::now();
@@ -533,9 +404,9 @@ impl<'a> ArtifactsBuilder<'a> {
                     let t = Instant::now();
                     let out = checked_enhance(&fluent, e, retries);
                     report.enhance_ns += t.elapsed().as_nanos() as u64;
-                    stats.enhancement_retries += out.retries;
+                    report.enhancement_retries += u64::from(out.retries);
                     if out.fell_back {
-                        stats.enhancement_fallbacks += 1;
+                        report.enhancement_fallbacks += 1;
                     }
                     out.template
                 }
@@ -574,8 +445,6 @@ impl<'a> ArtifactsBuilder<'a> {
         };
         report.fallback_ns = t.elapsed().as_nanos() as u64;
         report.templates = deterministic.len() as u64;
-        report.enhancement_retries = u64::from(stats.enhancement_retries);
-        report.enhancement_fallbacks = stats.enhancement_fallbacks as u64;
         report.total_ns = start.elapsed().as_nanos() as u64;
         let registry = vadalog::obs::metrics::global();
         registry
@@ -610,7 +479,6 @@ impl<'a> ArtifactsBuilder<'a> {
             enhanced,
             fallbacks,
             cone,
-            stats,
             report,
         })
     }
@@ -627,7 +495,7 @@ impl<'a> ArtifactsBuilder<'a> {
     }
 }
 
-/// Checks the build guard (deadline + cancellation only).
+/// Checks a build or query guard (deadline + cancellation only).
 fn artifacts_trip(guard: &RunGuard, start: Instant) -> Result<(), ExplainError> {
     if let Some(token) = &guard.cancel {
         if token.is_cancelled() {
@@ -714,10 +582,83 @@ impl ArtifactCache {
     }
 }
 
-/// One explanation endpoint: shared artifacts bound to one chase
-/// snapshot, with the query-time knobs (flavour, policy) carried by
-/// value. `Clone` is two `Arc` bumps, so every serving worker holds its
-/// own `Explainer` over the same underlying data.
+/// Which template flavour an explanation query uses.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum TemplateFlavor {
+    /// The deterministic rule-by-rule templates (verbose, complete).
+    Deterministic,
+    /// The enhanced templates (fluent, token-checked; the default).
+    #[default]
+    Enhanced,
+}
+
+/// An answered explanation query.
+#[derive(Clone, Debug)]
+pub struct Explanation {
+    /// The explained fact.
+    pub fact: Fact,
+    /// The natural-language explanation.
+    pub text: String,
+    /// Labels of the reasoning paths composed (e.g. `["{o1,o3}", "{o3}*"]`).
+    pub paths: Vec<String>,
+    /// Length of the explained inference in chase steps.
+    pub chase_steps: usize,
+    /// All facts supporting the explanation (the proof's premises and
+    /// conclusions), for front ends that render the matching KG fragment
+    /// next to the text (cf. the study's visualizations).
+    pub support: Vec<Fact>,
+}
+
+/// Telemetry of one artifact build: per-stage wall-clock timings plus
+/// the template-generation counters, the explanation-side companion of
+/// the engine's [`RunReport`](vadalog::telemetry::RunReport).
+#[non_exhaustive]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct PipelineReport {
+    /// Structural analysis (path enumeration) time, nanoseconds.
+    pub analysis_ns: u64,
+    /// Template generation time (deterministic + fluent), nanoseconds.
+    pub template_ns: u64,
+    /// Enhancement time (including anti-omission retries), nanoseconds.
+    pub enhance_ns: u64,
+    /// Per-rule fallback-template generation time, nanoseconds.
+    pub fallback_ns: u64,
+    /// Whole construction, nanoseconds.
+    pub total_ns: u64,
+    /// Number of reasoning paths (including dashed variants).
+    pub paths: u64,
+    /// Templates generated per flavour.
+    pub templates: u64,
+    /// Total enhancement retries performed.
+    pub enhancement_retries: u64,
+    /// Templates that fell back to the fluent deterministic generation
+    /// because every enhancement attempt lost tokens.
+    pub enhancement_fallbacks: u64,
+}
+
+impl PipelineReport {
+    /// Serializes the report as a JSON object (stable key order).
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::new();
+        w.open_object();
+        w.field_u64("analysis_ns", self.analysis_ns);
+        w.field_u64("template_ns", self.template_ns);
+        w.field_u64("enhance_ns", self.enhance_ns);
+        w.field_u64("fallback_ns", self.fallback_ns);
+        w.field_u64("total_ns", self.total_ns);
+        w.field_u64("paths", self.paths);
+        w.field_u64("templates", self.templates);
+        w.field_u64("enhancement_retries", self.enhancement_retries);
+        w.field_u64("enhancement_fallbacks", self.enhancement_fallbacks);
+        w.close_object();
+        w.finish()
+    }
+}
+
+/// The explanation handle: shared artifacts bound to one chase
+/// snapshot, with the query-time knobs (flavour, policy, guard) carried
+/// by value. `Clone` is two `Arc` bumps, so every serving worker holds
+/// its own `Explainer` over the same underlying data.
 ///
 /// ```no_run
 /// # use std::sync::Arc;
@@ -735,16 +676,23 @@ pub struct Explainer {
     outcome: Arc<ChaseOutcome>,
     policy: DerivationPolicy,
     flavor: TemplateFlavor,
+    guard: RunGuard,
 }
 
 impl Explainer {
-    /// Binds `artifacts` to one immutable chase snapshot.
-    pub fn for_snapshot(artifacts: Arc<ProgramArtifacts>, outcome: Arc<ChaseOutcome>) -> Explainer {
+    /// Binds `artifacts` to one immutable chase snapshot. Accepts an
+    /// owned outcome (moved into the `Arc`, never copied) or an
+    /// already-shared `Arc<ChaseOutcome>`.
+    pub fn for_snapshot(
+        artifacts: Arc<ProgramArtifacts>,
+        outcome: impl Into<Arc<ChaseOutcome>>,
+    ) -> Explainer {
         Explainer {
             artifacts,
-            outcome,
+            outcome: outcome.into(),
             policy: DerivationPolicy::Richest,
             flavor: TemplateFlavor::Enhanced,
+            guard: RunGuard::default(),
         }
     }
 
@@ -760,6 +708,19 @@ impl Explainer {
         self
     }
 
+    /// Governs every query with `guard` (deadline and cancellation only;
+    /// round/fact budgets do not apply here). The guard is armed per
+    /// query and checked on entry and at every recursion step, so a slow
+    /// or stuck query returns [`ExplainError::ResourceExhausted`] instead
+    /// of running away — a query whose budget is already spent trips on
+    /// entry. The serving layer hands each goal its request's remaining
+    /// deadline this way. An unlimited guard (the default) is never
+    /// polled.
+    pub fn with_guard(mut self, guard: RunGuard) -> Explainer {
+        self.guard = guard;
+        self
+    }
+
     /// The bound artifacts.
     pub fn artifacts(&self) -> &Arc<ProgramArtifacts> {
         &self.artifacts
@@ -772,20 +733,106 @@ impl Explainer {
 
     /// Answers the explanation query Q_e = {fact}.
     pub fn explain(&self, fact: &Fact) -> Result<Explanation, ExplainError> {
-        self.artifacts
-            .explain_fact(&self.outcome, fact, self.flavor, self.policy)
+        let id = self
+            .outcome
+            .lookup(fact)
+            .ok_or(ExplainError::UnknownFact(FactId(u32::MAX)))?;
+        self.explain_id(id)
     }
 
     /// Answers the explanation query for a fact id.
+    ///
+    /// The proof spine is covered by one simple path plus cycles
+    /// (Sec. 4.3). Side branches of the proof (e.g. the second ownership
+    /// branch of a joint control, or the second channel of a two-channel
+    /// cascade) that are not absorbed by a selected path are explained
+    /// recursively and prepended as preconditions, so the explanation
+    /// contains *every* constant of the proof — the completeness guarantee
+    /// of Sec. 6.3.
     pub fn explain_id(&self, id: FactId) -> Result<Explanation, ExplainError> {
-        self.artifacts
-            .explain_id(&self.outcome, id, self.flavor, self.policy)
+        let (artifacts, outcome, policy) = (&*self.artifacts, &*self.outcome, self.policy);
+        if outcome.database.len() <= id.0 as usize {
+            return Err(ExplainError::UnknownFact(id));
+        }
+        let _span = vadalog::span!(
+            "explain.query",
+            fact = outcome.database.fact(id).to_string()
+        );
+        if !outcome.graph.is_derived(id) {
+            return Err(ExplainError::ExtensionalFact(id));
+        }
+        let governor = (!self.guard.is_unlimited()).then(|| (&self.guard, Instant::now()));
+        if let Some((guard, start)) = governor {
+            artifacts_trip(guard, start)?;
+        }
+
+        let mut visited = std::collections::HashSet::new();
+        let mut texts: Vec<String> = Vec::new();
+        let mut paths: Vec<String> = Vec::new();
+        let chase_steps = artifacts.explain_rec(
+            outcome,
+            id,
+            self.flavor,
+            policy,
+            governor,
+            &mut visited,
+            &mut texts,
+            &mut paths,
+            0,
+        )?;
+
+        let support = outcome
+            .graph
+            .proof(id, policy)
+            .facts()
+            .into_iter()
+            .map(|f| outcome.database.fact(f).clone())
+            .collect();
+
+        Ok(Explanation {
+            fact: outcome.database.fact(id).clone(),
+            text: texts.join(" "),
+            paths,
+            chase_steps,
+            support,
+        })
     }
 
-    /// One explanation per derived goal fact, in derivation order.
+    /// Produces the *business report* of the snapshot: one explanation
+    /// per derived fact of the goal predicate, in derivation order — the
+    /// "natural language business reports" the paper's applications feed
+    /// to compliance staff and auditors (Sec. 5).
     pub fn report(&self) -> Result<Vec<Explanation>, ExplainError> {
-        self.artifacts
-            .report(&self.outcome, self.flavor, self.policy)
+        let outcome = &self.outcome;
+        outcome
+            .database
+            .facts_of(self.artifacts.goal())
+            .iter()
+            .filter(|&&id| outcome.graph.is_derived(id))
+            .map(|&id| self.explain_id(id))
+            .collect()
+    }
+
+    /// Renders the [`report`](Self::report) as a plain-text document with
+    /// one section per explained fact.
+    pub fn render_report(&self) -> Result<String, ExplainError> {
+        let explanations = self.report()?;
+        let mut out = String::new();
+        out.push_str(&format!(
+            "Business report — {} derived {} fact(s)\n\n",
+            explanations.len(),
+            self.artifacts.goal()
+        ));
+        for (i, e) in explanations.iter().enumerate() {
+            out.push_str(&format!(
+                "{}. {} ({} inference steps)\n{}\n\n",
+                i + 1,
+                e.fact,
+                e.chase_steps,
+                e.text
+            ));
+        }
+        Ok(out)
     }
 }
 
@@ -813,7 +860,8 @@ impl Fnv1a {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vadalog::{parse_program, ChaseSession, Database};
+    use crate::glossary::{GlossaryEntry, ValueFormat};
+    use vadalog::{parse_program, CancelToken, ChaseSession, Database};
 
     fn reach_program() -> vadalog::ParsedProgram {
         parse_program(
@@ -893,5 +941,309 @@ mod tests {
             .explain(&Fact::new("reach", vec!["a".into(), "c".into()]))
             .unwrap();
         assert_eq!(e.text, e2.text);
+    }
+
+    /// Example 4.3 with the Fig. 8 EDB and the Fig. 7 glossary.
+    fn setup() -> Explainer {
+        let parsed = parse_program(
+            r#"
+            alpha: shock(f, s), has_capital(f, p1), s > p1 -> default(f).
+            beta: default(d), debts(d, c, v), e = sum(v) -> risk(c, e).
+            gamma: has_capital(c, p2), risk(c, e), p2 < e -> default(c).
+
+            shock("A", 6).
+            has_capital("A", 5).
+            debts("A", "B", 7).
+            has_capital("B", 2).
+            debts("B", "C", 2).
+            debts("B", "C", 9).
+            has_capital("C", 10).
+        "#,
+        )
+        .unwrap();
+        let glossary = DomainGlossary::new()
+            .with(GlossaryEntry::new(
+                "has_capital",
+                &[("f", ValueFormat::Plain), ("p", ValueFormat::MillionsEuro)],
+                "<f> is a financial institution with capital of <p>",
+            ))
+            .with(GlossaryEntry::new(
+                "shock",
+                &[("f", ValueFormat::Plain), ("s", ValueFormat::MillionsEuro)],
+                "a shock amounting to <s> affects <f>",
+            ))
+            .with(GlossaryEntry::new(
+                "default",
+                &[("f", ValueFormat::Plain)],
+                "<f> is in default",
+            ))
+            .with(GlossaryEntry::new(
+                "debts",
+                &[
+                    ("d", ValueFormat::Plain),
+                    ("c", ValueFormat::Plain),
+                    ("v", ValueFormat::MillionsEuro),
+                ],
+                "<d> has an amount <v> of debts with <c>",
+            ))
+            .with(GlossaryEntry::new(
+                "risk",
+                &[("c", ValueFormat::Plain), ("e", ValueFormat::MillionsEuro)],
+                "<c> is at risk of defaulting given its loan of <e> of exposures to a defaulted debtor",
+            ));
+        let artifacts = ProgramArtifacts::builder(parsed.program.clone(), "default")
+            .with_glossary(&glossary)
+            .build_cached()
+            .unwrap();
+        let db: Database = parsed.facts.into_iter().collect();
+        let outcome = ChaseSession::new(&parsed.program).run(db).unwrap();
+        Explainer::for_snapshot(artifacts, outcome)
+    }
+
+    #[test]
+    fn example_4_8_explanation_content() {
+        let explainer = setup();
+        let q = Fact::new("default", vec!["C".into()]);
+        let e = explainer.explain(&q).unwrap();
+        // The explanation of Example 4.8 mentions: the 6M shock on A, A's
+        // 5M capital, the 7M debt to B, B's 2M capital, the 2M and 9M
+        // loans, the 11M total, and C's 10M capital.
+        for needle in [
+            "6M euros",
+            "5M euros",
+            "7M euros",
+            "2M euros",
+            "9M euros",
+            "11M euros",
+            "10M euros",
+            "A",
+            "B",
+            "C",
+        ] {
+            assert!(e.text.contains(needle), "missing {needle} in: {}", e.text);
+        }
+        assert_eq!(e.chase_steps, 5);
+        assert_eq!(e.paths.len(), 2);
+        // The support spans the whole Fig. 8 proof: 7 EDB + 5 derived.
+        assert_eq!(e.support.len(), 12);
+        // Π2 then the dashed cycle.
+        assert_eq!(e.paths[0], "{alpha,beta,gamma}");
+        assert_eq!(e.paths[1], "{beta,gamma}*");
+        assert!(!e.text.contains('<'), "unsubstituted token: {}", e.text);
+    }
+
+    #[test]
+    fn deterministic_flavor_is_more_verbose() {
+        let explainer = setup();
+        let q = Fact::new("default", vec!["C".into()]);
+        let det = explainer
+            .clone()
+            .with_flavor(TemplateFlavor::Deterministic)
+            .explain(&q)
+            .unwrap();
+        let enh = explainer.explain(&q).unwrap();
+        assert!(det.text.len() > enh.text.len());
+    }
+
+    #[test]
+    fn extensional_facts_are_rejected() {
+        let explainer = setup();
+        let q = Fact::new("shock", vec!["A".into(), 6i64.into()]);
+        let id = explainer.outcome().lookup(&q).unwrap();
+        assert!(matches!(
+            explainer.explain_id(id),
+            Err(ExplainError::ExtensionalFact(_))
+        ));
+    }
+
+    #[test]
+    fn unknown_facts_are_rejected() {
+        let explainer = setup();
+        let q = Fact::new("default", vec!["ZZZ".into()]);
+        assert!(matches!(
+            explainer.explain(&q),
+            Err(ExplainError::UnknownFact(_))
+        ));
+    }
+
+    #[test]
+    fn all_derived_defaults_are_explainable() {
+        let explainer = setup();
+        let outcome = explainer.outcome();
+        for (id, fact) in outcome.facts_of("default") {
+            if !outcome.graph.is_derived(id) {
+                continue;
+            }
+            let e = explainer
+                .explain_id(id)
+                .unwrap_or_else(|err| panic!("explaining {fact}: {err}"));
+            assert!(!e.text.is_empty());
+            assert!(!e.text.contains('<'), "{}: {}", fact, e.text);
+        }
+    }
+
+    #[test]
+    fn report_covers_all_derived_goal_facts() {
+        let explainer = setup();
+        let report = explainer.report().unwrap();
+        // Defaults of A, B and C.
+        assert_eq!(report.len(), 3);
+        let rendered = explainer.render_report().unwrap();
+        assert!(rendered.starts_with("Business report — 3 derived default fact(s)"));
+        for entity in ["\"A\"", "\"B\"", "\"C\""] {
+            assert!(rendered.contains(entity), "{rendered}");
+        }
+    }
+
+    #[test]
+    fn query_guard_trips_on_cancellation_and_unlimited_guard_is_transparent() {
+        let explainer = setup();
+        let q = Fact::new("default", vec!["C".into()]);
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = explainer
+            .clone()
+            .with_guard(RunGuard::new().with_cancel_token(token));
+        assert!(matches!(
+            cancelled.explain(&q),
+            Err(ExplainError::ResourceExhausted {
+                budget: Budget::Cancelled,
+                ..
+            })
+        ));
+        let plain = format!("{:?}", explainer.explain(&q).unwrap());
+        let unlimited = explainer.clone().with_guard(RunGuard::new());
+        assert_eq!(format!("{:?}", unlimited.explain(&q).unwrap()), plain);
+        // A guard that never trips takes the governed path to the same
+        // answer.
+        let generous = explainer
+            .clone()
+            .with_guard(RunGuard::new().with_timeout(std::time::Duration::from_secs(3600)));
+        assert_eq!(format!("{:?}", generous.explain(&q).unwrap()), plain);
+    }
+
+    #[test]
+    fn artifacts_expose_templates_and_counters() {
+        let explainer = setup();
+        let artifacts = explainer.artifacts();
+        assert_eq!(
+            artifacts.telemetry().paths,
+            artifacts.analysis().paths.len() as u64
+        );
+        assert_eq!(
+            artifacts.templates(TemplateFlavor::Deterministic).len(),
+            artifacts.templates(TemplateFlavor::Enhanced).len()
+        );
+        // Built-in fluent generation never falls back.
+        assert_eq!(artifacts.telemetry().enhancement_fallbacks, 0);
+    }
+
+    #[test]
+    fn telemetry_reports_stage_timings_and_counters() {
+        let explainer = setup();
+        let artifacts = explainer.artifacts();
+        let report = artifacts.telemetry();
+        assert_eq!(report.paths, artifacts.analysis().paths.len() as u64);
+        assert_eq!(
+            report.templates,
+            artifacts.templates(TemplateFlavor::Enhanced).len() as u64
+        );
+        assert_eq!(report.enhancement_fallbacks, 0);
+        // No enhancer configured: the enhancement stage never ran.
+        assert_eq!(report.enhance_ns, 0);
+        assert!(report.total_ns >= report.analysis_ns);
+        let json = report.to_json();
+        assert!(json.contains("\"analysis_ns\":"), "{json}");
+        assert!(json.contains("\"templates\":"), "{json}");
+    }
+
+    #[test]
+    fn cancelled_guard_preempts_the_build() {
+        let parsed = parse_program("alpha: edge(x, y) -> reach(x, y).").unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        let err = ProgramArtifacts::builder(parsed.program, "reach")
+            .with_guard(RunGuard::new().with_cancel_token(token))
+            .build_cached()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ExplainError::ResourceExhausted {
+                budget: Budget::Cancelled,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn elapsed_deadline_preempts_the_build() {
+        let parsed = parse_program("alpha: edge(x, y) -> reach(x, y).").unwrap();
+        let err = ProgramArtifacts::builder(parsed.program, "reach")
+            .with_guard(RunGuard::new().with_timeout(std::time::Duration::ZERO))
+            .build_cached()
+            .unwrap_err();
+        match err {
+            ExplainError::ResourceExhausted { budget, .. } => {
+                assert_eq!(budget, Budget::Deadline(std::time::Duration::ZERO));
+            }
+            other => panic!("expected a deadline trip, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn builder_is_deterministic_across_builds() {
+        let parsed = reach_program();
+        let glossary = DomainGlossary::new();
+        let a = ProgramArtifacts::builder(parsed.program.clone(), "reach")
+            .with_glossary(&glossary)
+            .build_cached()
+            .unwrap();
+        let b = ProgramArtifacts::builder(parsed.program, "reach")
+            .with_glossary(&glossary)
+            .build_cached()
+            .unwrap();
+        let rendered = |p: &ProgramArtifacts| -> Vec<String> {
+            p.templates(TemplateFlavor::Enhanced)
+                .iter()
+                .map(Template::render)
+                .collect()
+        };
+        assert_eq!(rendered(&a), rendered(&b));
+        assert_eq!(a.telemetry().paths, b.telemetry().paths);
+        // Equal-deployment builds share one artifact edition.
+        assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn builder_without_glossary_uses_raw_atom_rendering() {
+        let parsed = parse_program("alpha: edge(x, y) -> reach(x, y).").unwrap();
+        let artifacts = ProgramArtifacts::builder(parsed.program, "reach")
+            .build_cached()
+            .unwrap();
+        assert!(!artifacts.templates(TemplateFlavor::Enhanced).is_empty());
+    }
+
+    #[test]
+    fn template_edits_copy_on_write_shared_artifacts() {
+        let parsed = parse_program("alpha: edge(x, y) -> reach(x, y).").unwrap();
+        let glossary = DomainGlossary::new();
+        let a = ProgramArtifacts::builder(parsed.program.clone(), "reach")
+            .with_glossary(&glossary)
+            .build_cached()
+            .unwrap();
+        let mut b = ProgramArtifacts::builder(parsed.program, "reach")
+            .with_glossary(&glossary)
+            .build_cached()
+            .unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        let original = a.templates(TemplateFlavor::Enhanced)[0].render();
+        let edited = format!("Edited: {original}");
+        Arc::make_mut(&mut b)
+            .replace_enhanced_template(0, &edited)
+            .unwrap();
+        // The edit is private to `b`; `a` (and the cache) keep the original.
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(a.templates(TemplateFlavor::Enhanced)[0].render(), original);
+        assert_eq!(b.templates(TemplateFlavor::Enhanced)[0].render(), edited);
     }
 }

@@ -1,8 +1,9 @@
 //! Error types of the explanation pipeline.
 //!
 //! The error surface mirrors the engine's governed design: resource trips
-//! (a pipeline deadline or cancellation, see
-//! [`PipelineBuilder::with_guard`](crate::pipeline::PipelineBuilder::with_guard))
+//! (a deadline or cancellation of an artifact build, see
+//! [`ArtifactsBuilder::with_guard`](crate::ArtifactsBuilder::with_guard),
+//! or of a query, see [`Explainer::with_guard`](crate::Explainer::with_guard))
 //! surface as [`ExplainError::ResourceExhausted`] with the same
 //! [`Budget`] vocabulary as
 //! [`ChaseError::ResourceExhausted`](vadalog::ChaseError).
@@ -54,16 +55,6 @@ pub enum ExplainError {
         /// a deadline; 0 for cancellation).
         observed: u64,
     },
-    /// Restoring a chase outcome from a checkpoint snapshot failed (see
-    /// [`ExplanationPipeline::restore_outcome`](crate::pipeline::ExplanationPipeline::restore_outcome)).
-    ///
-    /// Carries the rendered underlying error rather than the error value:
-    /// `ExplainError` is `Clone + PartialEq` and the engine's load errors
-    /// (wrapping `std::io::Error`) are neither.
-    Restore {
-        /// The rendered load or resume failure.
-        detail: String,
-    },
 }
 
 impl fmt::Display for ExplainError {
@@ -84,9 +75,6 @@ impl fmt::Display for ExplainError {
             }
             ExplainError::IncompleteTemplate { missing } => {
                 write!(f, "enhanced template lost tokens: {}", missing.join(", "))
-            }
-            ExplainError::Restore { detail } => {
-                write!(f, "restoring the chase outcome failed: {}", detail)
             }
             ExplainError::ResourceExhausted { budget, observed } => match budget {
                 Budget::Cancelled => write!(f, "explanation pipeline cancelled"),

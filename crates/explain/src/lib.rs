@@ -23,8 +23,12 @@
 //!    contributors, then substitutes tokens with the constants recorded
 //!    in the chase derivations (Sec. 4.3).
 //!
-//! The [`pipeline::ExplanationPipeline`] packages the whole flow per
-//! deployed KG application; explanations provably contain every constant
+//! Steps 1–2 run once per deployed KG application: an
+//! [`ArtifactsBuilder`] produces the shared [`ProgramArtifacts`]
+//! (memoized by the process-wide [`ArtifactCache`]). Step 3 runs per
+//! query through an [`Explainer`], which binds the artifacts to one chase
+//! outcome and carries the template flavour, the derivation policy and an
+//! optional per-query guard. Explanations provably contain every constant
 //! of the proof (side branches are explained recursively, with per-rule
 //! fallback templates), which is the paper's completeness guarantee over
 //! LLM-generated reports (Sec. 6.3).
@@ -38,23 +42,21 @@ pub mod enhance;
 pub mod error;
 pub mod glossary;
 pub mod mapping;
-pub mod pipeline;
 pub mod review;
 pub mod structural;
 pub mod template;
 pub mod verbalizer;
 pub mod whynot;
 
-pub use artifacts::{ArtifactCache, ArtifactsBuilder, Explainer, ProgramArtifacts};
+pub use artifacts::{
+    ArtifactCache, ArtifactsBuilder, Explainer, Explanation, PipelineReport, ProgramArtifacts,
+    TemplateFlavor,
+};
 pub use dot::{analysis_dot, reasoning_path_dot};
 pub use enhance::{checked_enhance, EnhanceOutcome, Enhancer, IdentityEnhancer};
 pub use error::ExplainError;
 pub use glossary::{DomainGlossary, GlossaryEntry, GlossaryParseError, Param, ValueFormat};
 pub use mapping::{cover, instantiate, step_infos, Cover, PathCover, StepInfo};
-pub use pipeline::{
-    Explanation, ExplanationPipeline, PipelineBuilder, PipelineReport, PipelineStats,
-    TemplateFlavor,
-};
 pub use review::{export as export_templates, import as import_templates, ReviewReport};
 pub use structural::{
     analyze, analyze_with, AnalysisConfig, PathKind, ReasoningPath, StructuralAnalysis, Supply,

@@ -9,23 +9,25 @@
 //! enhancement; entries that lost tokens are rejected individually and
 //! keep their previous template.
 
-use crate::pipeline::{ExplanationPipeline, TemplateFlavor};
+use crate::artifacts::{ProgramArtifacts, TemplateFlavor};
+use std::sync::Arc;
 
 /// Marker line opening a review entry.
 const HEADER_PREFIX: &str = "[template ";
 
-/// Exports the pipeline's enhanced templates as an editable review file.
-pub fn export(pipeline: &ExplanationPipeline) -> String {
+/// Exports the enhanced templates of `artifacts` as an editable review
+/// file.
+pub fn export(artifacts: &ProgramArtifacts) -> String {
     let mut out = String::new();
     out.push_str("# ekg-explain template review file\n");
     out.push_str("# Edit the prose freely; every <token> must remain somewhere in its entry.\n");
     out.push_str("# Lines starting with '#' are ignored.\n\n");
-    for (i, template) in pipeline
+    for (i, template) in artifacts
         .templates(TemplateFlavor::Enhanced)
         .iter()
         .enumerate()
     {
-        let label = pipeline.analysis().paths[i].label(pipeline.program());
+        let label = artifacts.analysis().paths[i].label(artifacts.program());
         out.push_str(&format!("{HEADER_PREFIX}{i} {label}]\n"));
         out.push_str(&template.render());
         out.push_str("\n\n");
@@ -37,7 +39,7 @@ pub fn export(pipeline: &ExplanationPipeline) -> String {
 /// tokens.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Rejection {
-    /// Index of the template in the pipeline.
+    /// Index of the template in the artifacts.
     pub index: usize,
     /// Token display names missing from the edited text.
     pub missing: Vec<String>,
@@ -93,16 +95,21 @@ pub fn parse_review_file(text: &str) -> (Vec<(usize, String)>, Vec<String>) {
     (entries, malformed)
 }
 
-/// Imports a review file into the pipeline: each entry replaces the
+/// Imports a review file into `artifacts`: each entry replaces the
 /// enhanced template at its index iff the edited text retains every token.
-pub fn import(pipeline: &mut ExplanationPipeline, text: &str) -> ReviewReport {
+///
+/// When the artifacts are shared (a cache hit, a clone of the `Arc`),
+/// the first entry copy-on-writes a private edition through
+/// `Arc::make_mut`, so other holders and the cache keep the unedited
+/// templates.
+pub fn import(artifacts: &mut Arc<ProgramArtifacts>, text: &str) -> ReviewReport {
     let (entries, malformed) = parse_review_file(text);
     let mut report = ReviewReport {
         malformed,
         ..ReviewReport::default()
     };
     for (index, edited) in entries {
-        match pipeline.replace_enhanced_template(index, &edited) {
+        match Arc::make_mut(artifacts).replace_enhanced_template(index, &edited) {
             Ok(()) => report.applied += 1,
             Err(missing) => report.rejected.push(Rejection { index, missing }),
         }
@@ -116,22 +123,22 @@ mod tests {
     use crate::glossary::DomainGlossary;
     use vadalog::parse_program;
 
-    fn pipeline() -> ExplanationPipeline {
+    fn artifacts() -> Arc<ProgramArtifacts> {
         let program = parse_program(
             "r1: own(x, y, s), s > 0.5 -> control(x, y).
              r2: control(x, z), own(z, y, s), ts = sum(s), ts > 0.5 -> control(x, y).",
         )
         .unwrap()
         .program;
-        ExplanationPipeline::builder(program, "control")
+        ProgramArtifacts::builder(program, "control")
             .with_glossary(&DomainGlossary::new())
-            .build()
+            .build_cached()
             .unwrap()
     }
 
     #[test]
     fn export_import_round_trips_unchanged() {
-        let mut p = pipeline();
+        let mut p = artifacts();
         let file = export(&p);
         assert!(file.contains("[template 0"));
         let report = import(&mut p, &file);
@@ -142,7 +149,7 @@ mod tests {
 
     #[test]
     fn edited_prose_is_applied() {
-        let mut p = pipeline();
+        let mut p = artifacts();
         let n = p.templates(TemplateFlavor::Enhanced).len();
         let mut file = String::from("[template 0 edited]\n");
         // Keep all tokens of template 0 but change the prose.
@@ -168,7 +175,7 @@ mod tests {
 
     #[test]
     fn token_loss_is_rejected() {
-        let mut p = pipeline();
+        let mut p = artifacts();
         let file = "[template 0 broken]\nThis text has no tokens at all.\n";
         let report = import(&mut p, file);
         assert_eq!(report.applied, 0);
@@ -182,14 +189,14 @@ mod tests {
 
     #[test]
     fn malformed_headers_are_reported() {
-        let mut p = pipeline();
+        let mut p = artifacts();
         let report = import(&mut p, "[template abc oops]\nwhatever\n");
         assert_eq!(report.malformed.len(), 1);
     }
 
     #[test]
     fn out_of_range_index_is_rejected() {
-        let mut p = pipeline();
+        let mut p = artifacts();
         let report = import(&mut p, "[template 999 x]\n<nothing>\n");
         assert_eq!(report.rejected.len(), 1);
         assert_eq!(report.rejected[0].index, 999);

@@ -59,7 +59,7 @@ pub fn glossary() -> DomainGlossary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use explain::{analyze, ExplanationPipeline};
+    use explain::{analyze, Explainer, ProgramArtifacts};
     use vadalog::{ChaseSession, Database, Fact};
 
     #[test]
@@ -99,16 +99,16 @@ mod tests {
     #[test]
     fn explanations_cover_indirect_chains() {
         let p = program();
-        let pipeline = ExplanationPipeline::builder(p.clone(), GOAL)
+        let artifacts = ProgramArtifacts::builder(p.clone(), GOAL)
             .with_glossary(&glossary())
-            .build()
+            .build_cached()
             .unwrap();
         let mut db = Database::new();
         db.add("own", &["A".into(), "B".into(), 0.8.into()]);
         db.add("own", &["B".into(), "C".into(), 0.6.into()]);
         let out = ChaseSession::new(&p).run(db).unwrap();
-        let e = pipeline
-            .explain(&out, &Fact::new("close_link", vec!["A".into(), "C".into()]))
+        let e = Explainer::for_snapshot(artifacts, out)
+            .explain(&Fact::new("close_link", vec!["A".into(), "C".into()]))
             .unwrap();
         for needle in ["80%", "60%", "48%", "closely linked"] {
             assert!(e.text.contains(needle), "missing {needle}: {}", e.text);

@@ -52,7 +52,7 @@ pub fn glossary() -> DomainGlossary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use explain::{analyze, ExplanationPipeline};
+    use explain::{analyze, Explainer, ProgramArtifacts};
     use vadalog::{ChaseSession, Database, Fact, Symbol};
 
     #[test]
@@ -107,11 +107,13 @@ mod tests {
         let target = Fact::new("control", vec!["Irish Bank".into(), "Madrid Credit".into()]);
         assert!(out.database.contains(&target));
 
-        let pipeline = ExplanationPipeline::builder(p, GOAL)
+        let artifacts = ProgramArtifacts::builder(p, GOAL)
             .with_glossary(&glossary())
-            .build()
+            .build_cached()
             .unwrap();
-        let e = pipeline.explain(&out, &target).unwrap();
+        let e = Explainer::for_snapshot(artifacts, out)
+            .explain(&target)
+            .unwrap();
         // The explanation carries all shares of the Fig. 15 texts.
         for needle in [
             "83%",

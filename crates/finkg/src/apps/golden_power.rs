@@ -78,7 +78,7 @@ pub fn glossary() -> DomainGlossary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use explain::{analyze, ExplanationPipeline};
+    use explain::{analyze, Explainer, ProgramArtifacts};
     use vadalog::{ChaseSession, Database, Symbol};
 
     fn scenario() -> Database {
@@ -149,9 +149,9 @@ mod tests {
 
     #[test]
     fn explanation_covers_the_joint_stake_story() {
-        let pipeline = ExplanationPipeline::builder(program(), GOAL)
+        let artifacts = ProgramArtifacts::builder(program(), GOAL)
             .with_glossary(&glossary())
-            .build()
+            .build_cached()
             .unwrap();
         let out = ChaseSession::new(&program()).run(scenario()).unwrap();
         let (id, _) = out
@@ -159,8 +159,8 @@ mod tests {
             .into_iter()
             .find(|(_, f)| f.values[0] == "OffshoreCo".into())
             .unwrap();
-        let e = pipeline
-            .explain_id(&out, id, explain::TemplateFlavor::Enhanced)
+        let e = Explainer::for_snapshot(artifacts, out)
+            .explain_id(id)
             .unwrap();
         for needle in [
             "OffshoreCo",

@@ -68,7 +68,7 @@ pub fn glossary() -> DomainGlossary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use explain::{analyze, ExplanationPipeline};
+    use explain::{analyze, Explainer, ProgramArtifacts};
     use vadalog::{ChaseSession, Database, Fact};
 
     fn screen(db: Database) -> vadalog::ChaseOutcome {
@@ -118,17 +118,17 @@ mod tests {
     #[test]
     fn explanations_cover_the_exposure_chain() {
         let p = program();
-        let pipeline = ExplanationPipeline::builder(p.clone(), GOAL)
+        let artifacts = ProgramArtifacts::builder(p.clone(), GOAL)
             .with_glossary(&glossary())
-            .build()
+            .build_cached()
             .unwrap();
         let mut db = Database::new();
         db.add("own", &["A".into(), "B".into(), 0.8.into()]);
         db.add("own", &["B".into(), "C".into(), 0.4.into()]);
         db.add("sanctioned", &["C".into()]);
         let out = ChaseSession::new(&p).run(db).unwrap();
-        let e = pipeline
-            .explain(&out, &Fact::new("flagged", vec!["A".into(), "C".into()]))
+        let e = Explainer::for_snapshot(artifacts, out)
+            .explain(&Fact::new("flagged", vec!["A".into(), "C".into()]))
             .unwrap();
         for needle in ["80%", "40%", "sanctioned"] {
             assert!(e.text.contains(needle), "missing {needle}: {}", e.text);

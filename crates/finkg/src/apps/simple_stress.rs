@@ -74,7 +74,7 @@ pub fn figure_8_database() -> vadalog::Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use explain::ExplanationPipeline;
+    use explain::{Explainer, ProgramArtifacts};
     use vadalog::{ChaseSession, Fact};
 
     #[test]
@@ -94,15 +94,15 @@ mod tests {
 
     #[test]
     fn example_4_8_pipeline_round_trip() {
-        let pipeline = ExplanationPipeline::builder(program(), GOAL)
+        let artifacts = ProgramArtifacts::builder(program(), GOAL)
             .with_glossary(&glossary())
-            .build()
+            .build_cached()
             .unwrap();
         let out = ChaseSession::new(&program())
             .run(figure_8_database())
             .unwrap();
-        let e = pipeline
-            .explain(&out, &Fact::new("default", vec!["C".into()]))
+        let e = Explainer::for_snapshot(artifacts, out)
+            .explain(&Fact::new("default", vec!["C".into()]))
             .unwrap();
         assert_eq!(e.chase_steps, 5);
         assert!(e.text.contains("11M euros"));

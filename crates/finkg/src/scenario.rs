@@ -45,7 +45,7 @@ pub fn database() -> Database {
 mod tests {
     use super::*;
     use crate::apps::{control, stress};
-    use explain::ExplanationPipeline;
+    use explain::{Explainer, ProgramArtifacts};
     use vadalog::{ChaseSession, Fact};
 
     #[test]
@@ -69,15 +69,15 @@ mod tests {
     fn q_e_control_b_d_uses_pi2() {
         // Sec. 5: "the corresponding reasoning path followed — that in
         // this scenario is Π2".
-        let pipeline = ExplanationPipeline::builder(control::program(), control::GOAL)
+        let artifacts = ProgramArtifacts::builder(control::program(), control::GOAL)
             .with_glossary(&control::glossary())
-            .build()
+            .build_cached()
             .unwrap();
         let out = ChaseSession::new(&control::program())
             .run(database())
             .unwrap();
-        let e = pipeline
-            .explain(&out, &Fact::new("control", vec!["B".into(), "D".into()]))
+        let e = Explainer::for_snapshot(artifacts, out)
+            .explain(&Fact::new("control", vec!["B".into(), "D".into()]))
             .unwrap();
         assert_eq!(e.paths, vec!["{o1,o3}".to_string()]);
         for needle in ["60%", "55%", "B", "E", "D"] {
@@ -104,15 +104,15 @@ mod tests {
 
     #[test]
     fn q_e_default_f_mentions_both_channels() {
-        let pipeline = ExplanationPipeline::builder(stress::program(), stress::GOAL)
+        let artifacts = ProgramArtifacts::builder(stress::program(), stress::GOAL)
             .with_glossary(&stress::glossary())
-            .build()
+            .build_cached()
             .unwrap();
         let out = ChaseSession::new(&stress::program())
             .run(database())
             .unwrap();
-        let e = pipeline
-            .explain(&out, &Fact::new("default", vec!["F".into()]))
+        let e = Explainer::for_snapshot(artifacts, out)
+            .explain(&Fact::new("default", vec!["F".into()]))
             .unwrap();
         // The Sec. 5 narrative: shock 15M, capitals 5/4/8/9, exposures
         // 7 long, 9 short, 2 long + 8 short on F.

@@ -1,10 +1,14 @@
 //! The durability contract on real finkg workloads: a budget-tripped
 //! chase checkpointed to disk and resumed from the file must reach a
 //! state bitwise identical to the uninterrupted run, at any thread
-//! count; ditto a run interrupted by its own autosave policy. No fault
-//! injection here — this is the tier-1 crash-recovery path.
+//! count; ditto a run interrupted by its own autosave policy, whose
+//! resumed outcome must also explain every goal fact exactly as the
+//! uninterrupted run does. No fault injection here — this is the tier-1
+//! crash-recovery path.
 
+use explain::{Explainer, ProgramArtifacts};
 use std::path::PathBuf;
+use std::sync::Arc;
 use vadalog::prelude::*;
 
 fn tmp(name: &str) -> PathBuf {
@@ -112,6 +116,23 @@ fn guard_trip_autosaves_a_resumable_snapshot() {
         .resume_from_path(&path)
         .expect("resume from disk");
     assert_eq!(fingerprint(&out), expected);
+
+    // Explanations over the restored outcome match the uninterrupted run.
+    let artifacts = ProgramArtifacts::builder(program, finkg::apps::control::GOAL)
+        .with_glossary(&finkg::apps::control::glossary())
+        .build_cached()
+        .expect("artifacts");
+    let texts = |out: ChaseOutcome| -> Vec<String> {
+        Explainer::for_snapshot(Arc::clone(&artifacts), out)
+            .report()
+            .expect("report")
+            .into_iter()
+            .map(|e| e.text)
+            .collect()
+    };
+    let restored = texts(out);
+    assert!(!restored.is_empty(), "no goal fact to explain");
+    assert_eq!(restored, texts(reference));
 }
 
 #[test]

@@ -12,21 +12,22 @@
 //! the pruned configuration into a plain full chase, and equality with
 //! the full chase stays trivially true.
 
-use explain::{DomainGlossary, ProgramArtifacts, TemplateFlavor};
+use explain::{DomainGlossary, Explainer, ProgramArtifacts};
 use finkg::apps::{
     close_links, control, golden_power, joint_exposure, sanctions, simple_stress, stress,
 };
 use finkg::scenario;
 use proptest::prelude::*;
-use vadalog::{ChaseOutcome, ChaseSession, Database, DerivationPolicy, Program};
+use std::sync::Arc;
+use vadalog::{ChaseOutcome, ChaseSession, Database, Program};
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 
 /// Renders the full business report of `out` — one line per derived
 /// goal fact carrying every byte an explanation exposes.
-fn rendered_report(artifacts: &ProgramArtifacts, out: &ChaseOutcome) -> Vec<String> {
-    artifacts
-        .report(out, TemplateFlavor::Enhanced, DerivationPolicy::Richest)
+fn rendered_report(artifacts: &Arc<ProgramArtifacts>, out: ChaseOutcome) -> Vec<String> {
+    Explainer::for_snapshot(Arc::clone(artifacts), out)
+        .report()
         .expect("report must succeed")
         .into_iter()
         .map(|e| {
@@ -57,7 +58,7 @@ fn assert_cone_equivalence(
             .with_threads(1)
             .run(db.clone())
             .unwrap_or_else(|e| panic!("{name}: full chase failed: {e}"));
-        rendered_report(&artifacts, &full)
+        rendered_report(&artifacts, full)
     };
     assert!(
         !reference.is_empty(),
@@ -69,7 +70,7 @@ fn assert_cone_equivalence(
             .run(db.clone())
             .unwrap_or_else(|e| panic!("{name}: pruned chase at {threads} threads failed: {e}"));
         assert_eq!(
-            rendered_report(&artifacts, &pruned),
+            rendered_report(&artifacts, pruned),
             reference,
             "{name}: pruned explanations diverged at {threads} threads"
         );
@@ -239,14 +240,14 @@ proptest! {
                 .with_threads(1)
                 .run(db.clone())
                 .unwrap();
-            let reference = rendered_report(&artifacts, &full);
+            let reference = rendered_report(&artifacts, full);
             for threads in THREAD_SWEEP {
                 let pruned = ChaseSession::new(&program)
                     .with_config(artifacts.pruned_chase_config().with_threads(threads))
                     .run(db.clone())
                     .unwrap();
                 prop_assert_eq!(
-                    &rendered_report(&artifacts, &pruned),
+                    &rendered_report(&artifacts, pruned),
                     &reference,
                     "goal {} diverged at {} threads", goal, threads
                 );

@@ -86,10 +86,10 @@ fn finkg_scenario_exports_valid_chrome_trace_and_prometheus_text() {
         .run(scenario::database())
         .expect("chase");
     assert!(out.derived_facts > 0, "scenario derived nothing");
-    let pipeline = explain::ExplanationPipeline::builder(control::program(), control::GOAL)
-        .build()
-        .expect("pipeline");
-    assert!(pipeline.stats().paths > 0, "no reasoning paths");
+    let artifacts = explain::ProgramArtifacts::builder(control::program(), control::GOAL)
+        .build_cached()
+        .expect("artifacts");
+    assert!(artifacts.telemetry().paths > 0, "no reasoning paths");
 
     span::uninstall();
     let spans = ring.drain();

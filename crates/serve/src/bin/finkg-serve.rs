@@ -252,7 +252,7 @@ fn main() {
     };
     eprintln!(
         "finkg-serve: artifacts ready ({} reasoning paths, {} templates)",
-        artifacts.stats().paths,
+        artifacts.telemetry().paths,
         artifacts.templates(explain::TemplateFlavor::Enhanced).len()
     );
 

@@ -53,9 +53,10 @@
 //! * Each `/explain` batch runs under
 //!   [`ServeConfig::with_request_deadline`]: queue submission sheds
 //!   with [`ServeError::Overloaded`] when the job queue stays full,
-//!   and the remaining budget is threaded into the explanation
-//!   pipeline's run guard so a slow goal returns a deterministic
-//!   resource-exhausted error instead of hanging the connection.
+//!   and the remaining budget becomes the run guard of the batch's
+//!   [`Explainer`](explain::Explainer) so a slow goal returns a
+//!   deterministic resource-exhausted error instead of hanging the
+//!   connection.
 //! * Snapshot publishing can be made fault-tolerant with
 //!   [`SnapshotHandle::publish_with_retry`] and [`PublishRetry`]
 //!   (capped exponential backoff); while publishes fail the service

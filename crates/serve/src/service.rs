@@ -19,7 +19,7 @@
 //!   loop — when the job queue stays full past the deadline the
 //!   remaining goals are shed with [`ServeError::Overloaded`] instead of
 //!   blocking — and each job carries the deadline into the worker, which
-//!   hands the *remaining* budget to the explanation pipeline's
+//!   hands the *remaining* budget to its [`Explainer`] as a
 //!   [`RunGuard`], so a slow goal returns a deterministic
 //!   `ResourceExhausted` answer instead of stalling its batch.
 //! * **Panic isolation.** Worker bodies run under `catch_unwind`
@@ -36,9 +36,8 @@
 //!   batch can never wait forever on a dead pool; past the deadline the
 //!   outstanding goals resolve to [`ServeError::DeadlineExceeded`].
 
-use crate::snapshot::{Snapshot, SnapshotHandle};
-use explain::pipeline::{Explanation, TemplateFlavor};
-use explain::{ExplainError, ProgramArtifacts};
+use crate::snapshot::SnapshotHandle;
+use explain::{ExplainError, Explainer, Explanation, ProgramArtifacts};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
@@ -48,7 +47,7 @@ use std::time::{Duration, Instant};
 use vadalog::obs::context::{self, TraceContext};
 use vadalog::obs::{flight, span};
 use vadalog::telemetry::RunGuard;
-use vadalog::{DerivationPolicy, Fact};
+use vadalog::Fact;
 
 /// Pause between `try_send` attempts while the job queue is full.
 const SUBMIT_TICK: Duration = Duration::from_millis(1);
@@ -69,14 +68,10 @@ pub struct ServeConfig {
     /// Bound of the job queue; submissions beyond it apply backpressure
     /// and are shed once the request deadline passes.
     pub queue_depth: usize,
-    /// Template flavour answers use.
-    pub flavor: TemplateFlavor,
-    /// Derivation-selection policy.
-    pub policy: DerivationPolicy,
     /// Per-batch wall-clock budget: submission sheds
     /// ([`ServeError::Overloaded`]) when the queue stays full past it,
-    /// workers hand the remaining budget to the explanation pipeline's
-    /// guard, and collection stops waiting past it
+    /// workers hand the remaining budget to the explainer's guard, and
+    /// collection stops waiting past it
     /// ([`ServeError::DeadlineExceeded`]). `None` = unbounded.
     pub request_deadline: Option<Duration>,
     /// Concurrent HTTP connection handlers; excess connections are shed
@@ -113,8 +108,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 0,
             queue_depth: 256,
-            flavor: TemplateFlavor::Enhanced,
-            policy: DerivationPolicy::Richest,
             request_deadline: Some(Duration::from_secs(10)),
             max_connections: 64,
             read_timeout: Duration::from_secs(10),
@@ -139,18 +132,6 @@ impl ServeConfig {
     /// Sets the job-queue bound.
     pub fn with_queue_depth(mut self, queue_depth: usize) -> ServeConfig {
         self.queue_depth = queue_depth.max(1);
-        self
-    }
-
-    /// Sets the template flavour.
-    pub fn with_flavor(mut self, flavor: TemplateFlavor) -> ServeConfig {
-        self.flavor = flavor;
-        self
-    }
-
-    /// Sets the derivation-selection policy.
-    pub fn with_policy(mut self, policy: DerivationPolicy) -> ServeConfig {
-        self.policy = policy;
         self
     }
 
@@ -312,11 +293,11 @@ impl std::error::Error for ServeError {
     }
 }
 
-/// One unit of work: explain `fact` against the batch's snapshot and
-/// report the result under `index`.
+/// One unit of work: explain `fact` with the batch's explainer (bound to
+/// the batch's snapshot) and report the result under `index`.
 struct Job {
     fact: Fact,
-    snapshot: Arc<Snapshot>,
+    explainer: Explainer,
     index: usize,
     deadline: Option<Instant>,
     /// The trace context of the request that submitted this job; the
@@ -422,18 +403,15 @@ impl ExplainService {
     fn spawn_worker(&self) -> JoinHandle<()> {
         let id = self.next_worker.fetch_add(1, Ordering::Relaxed);
         let rx = Arc::clone(&self.job_rx);
-        let artifacts = Arc::clone(&self.artifacts);
         // Counted alive from here, not from when the thread first runs:
         // a `heal` that returns has the pool at full width.
         let presence = AlivePresence::enter(Arc::clone(&self.alive));
-        let flavor = self.config.flavor;
-        let policy = self.config.policy;
         let slow_threshold = self.config.slow_query_threshold;
         std::thread::Builder::new()
             .name(format!("explain-worker-{id}"))
             .spawn(move || {
                 let _presence = presence;
-                worker_loop(&rx, &artifacts, flavor, policy, slow_threshold, id)
+                worker_loop(&rx, slow_threshold, id)
             })
             .expect("spawning explanation worker")
     }
@@ -455,6 +433,8 @@ impl ExplainService {
     pub fn explain_batch(&self, goals: &[Fact]) -> (u64, Vec<Result<Explanation, ServeError>>) {
         let snapshot = self.handle.current();
         let version = snapshot.version();
+        let explainer =
+            Explainer::for_snapshot(Arc::clone(&self.artifacts), Arc::clone(snapshot.outcome()));
         let registry = vadalog::obs::metrics::global();
         registry
             .counter(
@@ -474,7 +454,7 @@ impl ExplainService {
         }
 
         let all: Vec<usize> = (0..goals.len()).collect();
-        let submitted = self.submit(goals, &all, &snapshot, deadline, &mut results);
+        let submitted = self.submit(goals, &all, &explainer, deadline, &mut results);
         self.collect(&submitted, &mut results, deadline);
 
         // One retry round for goals lost to a worker panic/crash: the
@@ -491,7 +471,7 @@ impl ExplainService {
             for &index in &lost {
                 results[index] = None;
             }
-            let resubmitted = self.submit(goals, &lost, &snapshot, deadline, &mut results);
+            let resubmitted = self.submit(goals, &lost, &explainer, deadline, &mut results);
             self.collect(&resubmitted, &mut results, deadline);
         }
 
@@ -532,7 +512,7 @@ impl ExplainService {
         &self,
         goals: &[Fact],
         indices: &[usize],
-        snapshot: &Arc<Snapshot>,
+        explainer: &Explainer,
         deadline: Option<Instant>,
         results: &mut [Option<Result<Explanation, ServeError>>],
     ) -> BatchReceiver {
@@ -552,7 +532,7 @@ impl ExplainService {
         'submit: for (position, &index) in indices.iter().enumerate() {
             let mut job = Job {
                 fact: goals[index].clone(),
-                snapshot: Arc::clone(snapshot),
+                explainer: explainer.clone(),
                 index,
                 deadline,
                 trace: trace.clone(),
@@ -662,14 +642,11 @@ impl Drop for ExplainService {
 
 /// Runs one job: installs the submitting request's trace context, opens
 /// the `serve.goal` span, hits the `serve.worker` fault point, then runs
-/// the explanation under the remaining per-request budget. Goals slower
-/// than `slow_threshold` are captured (goal text + full span tree) into
-/// the flight recorder's slow-query log.
+/// the job's explainer under the remaining per-request budget. Goals
+/// slower than `slow_threshold` are captured (goal text + full span
+/// tree) into the flight recorder's slow-query log.
 fn run_job(
     job: &Job,
-    artifacts: &ProgramArtifacts,
-    flavor: TemplateFlavor,
-    policy: DerivationPolicy,
     slow_threshold: Option<Duration>,
     worker: usize,
 ) -> Result<Explanation, ServeError> {
@@ -689,16 +666,12 @@ fn run_job(
         match job.deadline {
             Some(deadline) => {
                 let remaining = deadline.saturating_duration_since(Instant::now());
-                let guard = RunGuard::new().with_timeout(remaining);
-                artifacts.explain_fact_governed(
-                    job.snapshot.outcome(),
-                    &job.fact,
-                    flavor,
-                    policy,
-                    &guard,
-                )
+                job.explainer
+                    .clone()
+                    .with_guard(RunGuard::new().with_timeout(remaining))
+                    .explain(&job.fact)
             }
-            None => artifacts.explain_fact(job.snapshot.outcome(), &job.fact, flavor, policy),
+            None => job.explainer.explain(&job.fact),
         }
     };
     let elapsed = started.elapsed();
@@ -740,14 +713,7 @@ fn run_job(
 /// [`ServeError::WorkerPanic`] for the job and retires this worker (the
 /// pool respawns it); an injected crash kills the worker unreported,
 /// like real process death would.
-fn worker_loop(
-    rx: &Mutex<Receiver<Job>>,
-    artifacts: &ProgramArtifacts,
-    flavor: TemplateFlavor,
-    policy: DerivationPolicy,
-    slow_threshold: Option<Duration>,
-    worker: usize,
-) {
+fn worker_loop(rx: &Mutex<Receiver<Job>>, slow_threshold: Option<Duration>, worker: usize) {
     loop {
         let job = {
             let guard = match rx.lock() {
@@ -757,9 +723,7 @@ fn worker_loop(
             guard.recv()
         };
         let Ok(job) = job else { return };
-        match panic::catch_unwind(AssertUnwindSafe(|| {
-            run_job(&job, artifacts, flavor, policy, slow_threshold, worker)
-        })) {
+        match panic::catch_unwind(AssertUnwindSafe(|| run_job(&job, slow_threshold, worker))) {
             Ok(result) => {
                 // A dropped batch receiver just discards the answer.
                 let _ = job.done.send((job.index, result));
@@ -947,8 +911,6 @@ mod tests {
         let config = ServeConfig::default()
             .with_workers(3)
             .with_queue_depth(7)
-            .with_flavor(TemplateFlavor::Deterministic)
-            .with_policy(DerivationPolicy::Earliest)
             .with_request_deadline(Some(Duration::from_millis(250)))
             .with_max_connections(5)
             .with_read_timeout(Duration::from_millis(100))
@@ -962,7 +924,6 @@ mod tests {
         assert_eq!(config.workers, 3);
         assert_eq!(config.effective_workers(), 3);
         assert_eq!(config.queue_depth, 7);
-        assert_eq!(config.flavor, TemplateFlavor::Deterministic);
         assert_eq!(config.request_deadline, Some(Duration::from_millis(250)));
         assert_eq!(config.max_connections, 5);
         assert_eq!(config.max_head_bytes, 1024);

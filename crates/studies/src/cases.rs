@@ -1,18 +1,18 @@
 //! The concrete scenarios of the two user studies (Sec. 6.1–6.2), built
 //! from the financial applications on synthetic data.
 
-use explain::{DomainGlossary, ExplanationPipeline, TemplateFlavor};
+use explain::{DomainGlossary, Explainer, ProgramArtifacts, TemplateFlavor};
 use finkg::apps::{close_links, control, simple_stress, stress};
-use vadalog::{ChaseOutcome, ChaseSession, Database, Fact, FactId};
+use vadalog::{ChaseSession, Database, Fact, FactId};
 
-/// One prepared scenario: pipeline, chase outcome and the fact to explain.
+/// One prepared scenario: an explainer over the application's artifacts
+/// and the scenario's chase outcome, plus the fact to explain.
 pub struct Case {
     /// Human-readable description.
     pub name: &'static str,
-    /// The explanation pipeline of the application.
-    pub pipeline: ExplanationPipeline,
-    /// The chase outcome over the scenario data.
-    pub outcome: ChaseOutcome,
+    /// The application's explainer, bound to the chase outcome over the
+    /// scenario data (see [`Explainer::outcome`]).
+    pub explainer: Explainer,
     /// The fact of the explanation query.
     pub target: FactId,
     /// The application's domain glossary.
@@ -28,9 +28,9 @@ impl Case {
         db: Database,
         target: Fact,
     ) -> Case {
-        let pipeline = ExplanationPipeline::builder(program.clone(), goal)
+        let artifacts = ProgramArtifacts::builder(program.clone(), goal)
             .with_glossary(&glossary)
-            .build()
+            .build_cached()
             .expect("study scenarios analyze cleanly");
         let outcome = ChaseSession::new(&program)
             .run(db)
@@ -40,8 +40,7 @@ impl Case {
             .unwrap_or_else(|| panic!("{name}: target not derived"));
         Case {
             name,
-            pipeline,
-            outcome,
+            explainer: Explainer::for_snapshot(artifacts, outcome),
             target,
             glossary,
         }
@@ -49,8 +48,8 @@ impl Case {
 
     /// The enhanced (template-based) explanation text.
     pub fn template_text(&self) -> String {
-        self.pipeline
-            .explain_id(&self.outcome, self.target, TemplateFlavor::Enhanced)
+        self.explainer
+            .explain_id(self.target)
             .expect("explainable")
             .text
     }
@@ -58,8 +57,10 @@ impl Case {
     /// The deterministic verbalized explanation (the LLM baselines'
     /// input).
     pub fn deterministic_text(&self) -> String {
-        self.pipeline
-            .explain_id(&self.outcome, self.target, TemplateFlavor::Deterministic)
+        self.explainer
+            .clone()
+            .with_flavor(TemplateFlavor::Deterministic)
+            .explain_id(self.target)
             .expect("explainable")
             .text
     }

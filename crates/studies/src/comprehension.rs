@@ -89,7 +89,7 @@ pub fn run_on(cases: &[Case], config: &ComprehensionConfig) -> ComprehensionOutc
 
     for case in cases {
         let text = case.template_text();
-        let correct_graph = VizGraph::from_proof(&case.outcome, case.target);
+        let correct_graph = VizGraph::from_proof(case.explainer.outcome(), case.target);
 
         // Two distractors with distinct archetypes, as in the paper. The
         // study designer verifies each distractor is genuinely wrong w.r.t.
@@ -324,7 +324,7 @@ mod tests {
     fn faithful_graph_has_no_mismatches() {
         for case in comprehension_cases() {
             let text = case.template_text();
-            let graph = VizGraph::from_proof(&case.outcome, case.target);
+            let graph = VizGraph::from_proof(case.explainer.outcome(), case.target);
             let m = mismatches(&sentences(&text), &graph);
             assert_eq!(m, 0, "{}: {} mismatches\n{}", case.name, m, text);
         }
@@ -334,7 +334,7 @@ mod tests {
     fn distractors_have_mismatches() {
         let case = crate::cases::simple_stress_case();
         let text = case.template_text();
-        let graph = VizGraph::from_proof(&case.outcome, case.target);
+        let graph = VizGraph::from_proof(case.explainer.outcome(), case.target);
         let mut rng = StdRng::seed_from_u64(9);
         for archetype in ALL_ARCHETYPES {
             if let Some(bad) = inject_error(&graph, archetype, &mut rng) {

@@ -121,7 +121,7 @@ pub fn run_on(cases: &[Case], config: &ExpertConfig) -> ExpertOutcome {
     let mut items: Vec<Vec<GradedText>> = Vec::new();
     for (i, case) in cases.iter().enumerate() {
         let det = case.deterministic_text();
-        let constants = proof_constants(&case.outcome, case.target, &case.glossary);
+        let constants = proof_constants(case.explainer.outcome(), case.target, &case.glossary);
         let paraphrase =
             SimulatedLlm::new(Prompt::Paraphrase, config.seed ^ 0xA).rewrite(&det, i as u64);
         let summary =

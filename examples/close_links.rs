@@ -10,10 +10,10 @@ use ekg_explain::prelude::*;
 
 fn main() {
     let program = close_links::program();
-    let pipeline = ExplanationPipeline::builder(program.clone(), close_links::GOAL)
+    let artifacts = ProgramArtifacts::builder(program.clone(), close_links::GOAL)
         .with_glossary(&close_links::glossary())
-        .build()
-        .expect("pipeline builds");
+        .build_cached()
+        .expect("artifacts build");
 
     let mut db = Database::new();
     db.add(
@@ -41,7 +41,9 @@ fn main() {
         "close_link",
         vec!["Alpha Holding".into(), "Delta Fin".into()],
     );
-    let e = pipeline.explain(&outcome, &q).expect("explainable");
+    let e = Explainer::for_snapshot(artifacts, outcome)
+        .explain(&q)
+        .expect("explainable");
     println!(
         "\nQ_e = {{CloseLink(\"Alpha Holding\",\"Delta Fin\")}} via {:?}:\n{}",
         e.paths, e.text

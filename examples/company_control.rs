@@ -9,13 +9,14 @@
 use ekg_explain::finkg::apps::control;
 use ekg_explain::finkg::scenario;
 use ekg_explain::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     let program = control::program();
-    let pipeline = ExplanationPipeline::builder(program.clone(), control::GOAL)
+    let artifacts = ProgramArtifacts::builder(program.clone(), control::GOAL)
         .with_glossary(&control::glossary())
-        .build()
-        .expect("pipeline builds");
+        .build_cached()
+        .expect("artifacts build");
 
     // --- The Fig. 12 cluster ---
     let outcome = ChaseSession::new(&program)
@@ -29,7 +30,9 @@ fn main() {
     }
 
     let q = Fact::new("control", vec!["B".into(), "D".into()]);
-    let e = pipeline.explain(&outcome, &q).expect("explainable");
+    let e = Explainer::for_snapshot(Arc::clone(&artifacts), outcome)
+        .explain(&q)
+        .expect("explainable");
     println!(
         "\nQ_e = {{Control(\"B\",\"D\")}} via {:?}:\n{}",
         e.paths, e.text
@@ -60,7 +63,9 @@ fn main() {
         .run(db)
         .expect("chase terminates");
     let q = Fact::new("control", vec!["Irish Bank".into(), "Madrid Credit".into()]);
-    let e = pipeline.explain(&outcome, &q).expect("explainable");
+    let e = Explainer::for_snapshot(artifacts, outcome)
+        .explain(&q)
+        .expect("explainable");
     println!(
         "\nQ_e = {{Control(\"Irish Bank\",\"Madrid Credit\")}} via {:?}:\n{}",
         e.paths, e.text

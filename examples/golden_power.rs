@@ -15,14 +15,14 @@ use ekg_explain::prelude::*;
 
 fn main() {
     let program = golden_power::program();
-    let pipeline = ExplanationPipeline::builder(program.clone(), golden_power::GOAL)
+    let artifacts = ProgramArtifacts::builder(program.clone(), golden_power::GOAL)
         .with_glossary(&golden_power::glossary())
-        .build()
-        .expect("pipeline builds");
+        .build_cached()
+        .expect("artifacts build");
 
-    println!("Critical nodes: {:?}", pipeline.analysis().critical);
+    println!("Critical nodes: {:?}", artifacts.analysis().critical);
     println!("Reasoning paths:");
-    for p in &pipeline.analysis().paths {
+    for p in &artifacts.analysis().paths {
         println!("  {:?} {}", p.kind, p.label(&program));
     }
 
@@ -48,13 +48,12 @@ fn main() {
         println!("  {fact}");
     }
 
-    for (id, fact) in outcome.facts_of(golden_power::GOAL) {
+    let explainer = Explainer::for_snapshot(artifacts, outcome);
+    for (id, fact) in explainer.outcome().facts_of(golden_power::GOAL) {
         if fact.values[0] != Value::str("OffshoreCo") {
             continue;
         }
-        let e = pipeline
-            .explain_id(&outcome, id, TemplateFlavor::Enhanced)
-            .expect("explainable");
+        let e = explainer.explain_id(id).expect("explainable");
         println!("\nQ_e = {{{fact}}} via {:?}:\n{}", e.paths, e.text);
     }
 }

@@ -23,16 +23,15 @@ fn main() {
     // (pre-computed, data-free); the anti-omission check retries or falls
     // back when the LLM drops a token.
     let llm_for_templates = SimulatedLlm::new(Prompt::Paraphrase, 7);
-    let pipeline = ExplanationPipeline::builder(program.clone(), control::GOAL)
+    let artifacts = ProgramArtifacts::builder(program.clone(), control::GOAL)
         .with_glossary(&glossary)
         .with_enhancer(&llm_for_templates, 3)
-        .build()
-        .expect("pipeline builds");
+        .build_cached()
+        .expect("artifacts build");
+    let telemetry = artifacts.telemetry();
     println!(
         "Template enhancement: {} paths, {} retries, {} fallbacks (tokens always preserved)",
-        pipeline.stats().paths,
-        pipeline.stats().enhancement_retries,
-        pipeline.stats().enhancement_fallbacks
+        telemetry.paths, telemetry.enhancement_retries, telemetry.enhancement_fallbacks
     );
 
     let outcome = ChaseSession::new(&program)
@@ -41,16 +40,15 @@ fn main() {
     let id = outcome.lookup(&bundle.targets[0]).expect("derived");
     let constants = proof_constants(&outcome, id, &glossary);
     println!("\nThe proof uses {} distinct constants.", constants.len());
+    let explainer = Explainer::for_snapshot(artifacts, outcome);
 
     // Method 1: template-based (no data leaves the process).
-    let template_text = pipeline
-        .explain_id(&outcome, id, TemplateFlavor::Enhanced)
-        .expect("explainable")
-        .text;
+    let template_text = explainer.explain_id(id).expect("explainable").text;
 
     // Baseline: the deterministic explanation is shipped to the LLM.
-    let deterministic = pipeline
-        .explain_id(&outcome, id, TemplateFlavor::Deterministic)
+    let deterministic = explainer
+        .with_flavor(TemplateFlavor::Deterministic)
+        .explain_id(id)
         .expect("explainable")
         .text;
     let paraphrase = SimulatedLlm::new(Prompt::Paraphrase, 7).rewrite(&deterministic, 0);

@@ -34,14 +34,14 @@ fn main() {
         println!("  {:?} {}", path.kind, path.label(&parsed.program));
     }
 
-    // 3. The explanation pipeline: templates generated once, before any
+    // 3. The explanation artifacts: templates generated once, before any
     //    data is touched (Sec. 4.2).
     let glossary = simple_stress::glossary();
-    let pipeline = ExplanationPipeline::builder(parsed.program.clone(), "default")
+    let artifacts = ProgramArtifacts::builder(parsed.program.clone(), "default")
         .with_glossary(&glossary)
-        .build()
-        .expect("pipeline builds");
-    println!("\nGenerated templates: {}", pipeline.stats().paths);
+        .build_cached()
+        .expect("artifacts build");
+    println!("\nGenerated templates: {}", artifacts.telemetry().paths);
 
     // 4. Reasoning: chase to fixpoint with provenance (Sec. 3).
     let db: Database = parsed.facts.into_iter().collect();
@@ -56,9 +56,11 @@ fn main() {
         println!("  derived {fact}");
     }
 
-    // 5. The explanation query of Example 4.7/4.8.
+    // 5. The explanation query of Example 4.7/4.8, answered over the
+    //    chase outcome.
+    let explainer = Explainer::for_snapshot(artifacts, outcome);
     let q = Fact::new("default", vec!["C".into()]);
-    let e = pipeline.explain(&outcome, &q).expect("explainable");
+    let e = explainer.explain(&q).expect("explainable");
     println!(
         "\nQ_e = {{Default(\"C\")}} over {} chase steps, via {:?}:",
         e.chase_steps, e.paths

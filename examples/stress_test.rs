@@ -11,10 +11,10 @@ use ekg_explain::prelude::*;
 
 fn main() {
     let program = stress::program();
-    let pipeline = ExplanationPipeline::builder(program.clone(), stress::GOAL)
+    let artifacts = ProgramArtifacts::builder(program.clone(), stress::GOAL)
         .with_glossary(&stress::glossary())
-        .build()
-        .expect("pipeline builds");
+        .build_cached()
+        .expect("artifacts build");
 
     let outcome = ChaseSession::new(&program)
         .run(scenario::database())
@@ -29,9 +29,10 @@ fn main() {
         println!("  {fact}");
     }
 
+    let explainer = Explainer::for_snapshot(artifacts, outcome);
     for entity in ["B", "C", "F"] {
         let q = Fact::new("default", vec![entity.into()]);
-        let e = pipeline.explain(&outcome, &q).expect("explainable");
+        let e = explainer.explain(&q).expect("explainable");
         println!(
             "\nQ_e = {{Default(\"{entity}\")}} ({} chase steps, via {:?}):\n{}",
             e.chase_steps, e.paths, e.text

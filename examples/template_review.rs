@@ -5,27 +5,25 @@
 //!
 //! Run with: `cargo run --example template_review`
 
-use ekg_explain::explain::{
-    export_templates, import_templates, ExplanationPipeline, TemplateFlavor,
-};
+use ekg_explain::explain::{export_templates, import_templates, TemplateFlavor};
 use ekg_explain::finkg::apps::simple_stress;
 use ekg_explain::prelude::*;
 
 fn main() {
-    let mut pipeline = ExplanationPipeline::builder(simple_stress::program(), simple_stress::GOAL)
+    let mut artifacts = ProgramArtifacts::builder(simple_stress::program(), simple_stress::GOAL)
         .with_glossary(&simple_stress::glossary())
-        .build()
-        .expect("pipeline builds");
+        .build_cached()
+        .expect("artifacts build");
 
     // 1. Export the generated templates for expert review.
-    let review_file = export_templates(&pipeline);
+    let review_file = export_templates(&artifacts);
     println!("--- exported review file (excerpt) ---");
     for line in review_file.lines().take(6) {
         println!("{line}");
     }
 
     // 2. The expert rewrites template 0 (keeping every token) ...
-    let t0 = pipeline.templates(TemplateFlavor::Enhanced)[0].clone();
+    let t0 = artifacts.templates(TemplateFlavor::Enhanced)[0].clone();
     let tokens: Vec<String> = t0
         .classes
         .iter()
@@ -38,8 +36,9 @@ fn main() {
     // ... and also tries a sloppy edit that loses a token.
     let sloppy = "[template 1 broken]\nThe institution defaults because of its exposures.\n";
 
-    // 3. Import: the good edit is applied, the sloppy one rejected.
-    let report = import_templates(&mut pipeline, &format!("{edited}{sloppy}"));
+    // 3. Import: the good edit is applied, the sloppy one rejected. The
+    //    edit lands in a private copy; the cached templates stay as built.
+    let report = import_templates(&mut artifacts, &format!("{edited}{sloppy}"));
     println!(
         "\napplied: {}, rejected: {:?}",
         report.applied, report.rejected
@@ -49,8 +48,8 @@ fn main() {
     let outcome = ChaseSession::new(&simple_stress::program())
         .run(simple_stress::figure_8_database())
         .expect("chase terminates");
-    let e = pipeline
-        .explain(&outcome, &Fact::new("default", vec!["A".into()]))
+    let e = Explainer::for_snapshot(artifacts, outcome)
+        .explain(&Fact::new("default", vec!["A".into()]))
         .expect("explainable");
     println!("\nreviewed explanation of Default(\"A\"):\n{}", e.text);
     assert!(e.text.contains("cannot cover it"));

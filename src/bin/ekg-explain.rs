@@ -18,9 +18,10 @@
 //! automatically when the program's predicates match; otherwise the
 //! generic verbalizer is used.
 
-use ekg_explain::explain::{analyze, DomainGlossary, ExplanationPipeline, TemplateFlavor};
+use ekg_explain::explain::{analyze, DomainGlossary, TemplateFlavor};
 use ekg_explain::prelude::*;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -214,19 +215,12 @@ fn cmd_templates(
     glossary: &DomainGlossary,
     deterministic: bool,
 ) -> Result<(), String> {
-    let pipeline = ExplanationPipeline::builder(parsed.program.clone(), goal)
-        .with_glossary(glossary)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let flavor = if deterministic {
-        TemplateFlavor::Deterministic
-    } else {
-        TemplateFlavor::Enhanced
-    };
-    for (i, t) in pipeline.templates(flavor).iter().enumerate() {
+    let artifacts = build_artifacts(parsed, goal, glossary)?;
+    let templates = artifacts.templates(flavor(deterministic));
+    for (i, t) in templates.iter().enumerate() {
         println!(
             "[{}] {}",
-            pipeline.analysis().paths[i].label(&parsed.program),
+            artifacts.analysis().paths[i].label(&parsed.program),
             t.render()
         );
     }
@@ -241,21 +235,8 @@ fn cmd_explain(
     deterministic: bool,
 ) -> Result<(), String> {
     let fact = parse_fact(fact_text)?;
-    let pipeline = ExplanationPipeline::builder(parsed.program.clone(), goal)
-        .with_glossary(glossary)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let db: Database = parsed.facts.clone().into_iter().collect();
-    let outcome = ChaseSession::new(&parsed.program)
-        .run(db)
-        .map_err(|e| e.to_string())?;
-    let flavor = if deterministic {
-        TemplateFlavor::Deterministic
-    } else {
-        TemplateFlavor::Enhanced
-    };
-    let e = pipeline
-        .explain_with(&outcome, &fact, flavor)
+    let e = explainer(parsed, goal, glossary, deterministic)?
+        .explain(&fact)
         .map_err(|e| e.to_string())?;
     println!(
         "explaining {} ({} chase steps, paths {})",
@@ -274,24 +255,46 @@ fn cmd_report(
     glossary: &DomainGlossary,
     deterministic: bool,
 ) -> Result<(), String> {
-    let pipeline = ExplanationPipeline::builder(parsed.program.clone(), goal)
-        .with_glossary(glossary)
-        .build()
+    let report = explainer(parsed, goal, glossary, deterministic)?
+        .render_report()
         .map_err(|e| e.to_string())?;
+    print!("{report}");
+    Ok(())
+}
+
+fn flavor(deterministic: bool) -> TemplateFlavor {
+    if deterministic {
+        TemplateFlavor::Deterministic
+    } else {
+        TemplateFlavor::Enhanced
+    }
+}
+
+fn build_artifacts(
+    parsed: &ParsedProgram,
+    goal: &str,
+    glossary: &DomainGlossary,
+) -> Result<Arc<ProgramArtifacts>, String> {
+    ProgramArtifacts::builder(parsed.program.clone(), goal)
+        .with_glossary(glossary)
+        .build_cached()
+        .map_err(|e| e.to_string())
+}
+
+/// Builds the artifacts, chases the program's facts and binds the two
+/// into an explainer of the requested flavour.
+fn explainer(
+    parsed: &ParsedProgram,
+    goal: &str,
+    glossary: &DomainGlossary,
+    deterministic: bool,
+) -> Result<Explainer, String> {
+    let artifacts = build_artifacts(parsed, goal, glossary)?;
     let db: Database = parsed.facts.clone().into_iter().collect();
     let outcome = ChaseSession::new(&parsed.program)
         .run(db)
         .map_err(|e| e.to_string())?;
-    let flavor = if deterministic {
-        TemplateFlavor::Deterministic
-    } else {
-        TemplateFlavor::Enhanced
-    };
-    let report = pipeline
-        .render_report(&outcome, flavor)
-        .map_err(|e| e.to_string())?;
-    print!("{report}");
-    Ok(())
+    Ok(Explainer::for_snapshot(artifacts, outcome).with_flavor(flavor(deterministic)))
 }
 
 fn cmd_whynot(

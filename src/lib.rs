@@ -13,8 +13,8 @@
 //!   provenance (language, parser, chase, chase graph, dependency graph);
 //! * [`explain`] — the paper's contribution: structural analysis into
 //!   reasoning paths, the verbalizer, explanation templates with the
-//!   anti-omission check, chase-step-to-template mapping, and the
-//!   automated pipeline;
+//!   anti-omission check, chase-step-to-template mapping, the cached
+//!   per-application artifacts and the `Explainer` query handle;
 //! * [`finkg`] — the financial KG applications (company control, stress
 //!   tests, close links) with their domain glossaries, plus synthetic data
 //!   generators and proof visualizations;
@@ -41,19 +41,21 @@
 //!     has_capital("C", 10).
 //! "#).unwrap();
 //!
-//! // 2. Build the explanation pipeline once per application.
+//! // 2. Build the explanation artifacts (analysis + templates) once per
+//! //    application.
 //! let glossary = ekg_explain::finkg::apps::simple_stress::glossary();
-//! let pipeline = ExplanationPipeline::builder(parsed.program.clone(), "default")
+//! let artifacts = ProgramArtifacts::builder(parsed.program.clone(), "default")
 //!     .with_glossary(&glossary)
-//!     .build()
+//!     .build_cached()
 //!     .unwrap();
 //!
 //! // 3. Reason (chase to fixpoint with provenance).
 //! let db: Database = parsed.facts.into_iter().collect();
 //! let outcome = ChaseSession::new(&parsed.program).run(db).unwrap();
 //!
-//! // 4. Answer an explanation query.
-//! let e = pipeline.explain(&outcome, &Fact::new("default", vec!["C".into()])).unwrap();
+//! // 4. Answer an explanation query over the outcome.
+//! let explainer = Explainer::for_snapshot(artifacts, outcome);
+//! let e = explainer.explain(&Fact::new("default", vec!["C".into()])).unwrap();
 //! assert!(e.text.contains("11M euros"));
 //! ```
 
@@ -71,8 +73,8 @@ pub use vadalog;
 pub mod prelude {
     pub use explain::{
         analyze, ArtifactCache, DomainGlossary, ExplainError, Explainer, Explanation,
-        ExplanationPipeline, GlossaryEntry, PipelineBuilder, PipelineReport, ProgramArtifacts,
-        ReasoningPath, StructuralAnalysis, Template, TemplateFlavor, TemplateStyle, ValueFormat,
+        GlossaryEntry, PipelineReport, ProgramArtifacts, ReasoningPath, StructuralAnalysis,
+        Template, TemplateFlavor, TemplateStyle, ValueFormat,
     };
     pub use llm_sim::{Prompt, SimulatedLlm};
     pub use serve::{ExplainService, HttpServer, ServeConfig, ServeError, SnapshotHandle};

@@ -13,23 +13,14 @@ fn explain_all(
     glossary: &DomainGlossary,
     db: Database,
 ) -> Vec<Explanation> {
-    let pipeline = ExplanationPipeline::builder(program.clone(), goal)
+    let artifacts = ProgramArtifacts::builder(program.clone(), goal)
         .with_glossary(glossary)
-        .build()
-        .expect("pipeline");
+        .build_cached()
+        .expect("artifacts");
     let outcome = ChaseSession::new(&program).run(db).expect("chase");
-    let goal_sym = Symbol::new(goal);
-    outcome
-        .database
-        .facts_of(goal_sym)
-        .iter()
-        .filter(|&&id| outcome.graph.is_derived(id))
-        .map(|&id| {
-            pipeline
-                .explain_id(&outcome, id, TemplateFlavor::Enhanced)
-                .unwrap_or_else(|e| panic!("explaining {}: {e}", outcome.database.fact(id)))
-        })
-        .collect::<Vec<_>>()
+    Explainer::for_snapshot(artifacts, outcome)
+        .report()
+        .unwrap_or_else(|e| panic!("explaining every derived {goal} fact: {e}"))
 }
 
 #[test]
@@ -109,19 +100,19 @@ fn explanations_contain_every_proof_constant() {
         let db = finkg::random_ownership(20, 3, 100 + seed);
         let program = control::program();
         let glossary = control::glossary();
-        let pipeline = ExplanationPipeline::builder(program.clone(), control::GOAL)
+        let artifacts = ProgramArtifacts::builder(program.clone(), control::GOAL)
             .with_glossary(&glossary)
-            .build()
-            .expect("pipeline");
+            .build_cached()
+            .expect("artifacts");
         let outcome = ChaseSession::new(&program).run(db).expect("chase");
+        let explainer = Explainer::for_snapshot(artifacts, outcome);
+        let outcome = explainer.outcome();
         for &id in outcome.database.facts_of(Symbol::new("control")) {
             if !outcome.graph.is_derived(id) {
                 continue;
             }
-            let e = pipeline
-                .explain_id(&outcome, id, TemplateFlavor::Enhanced)
-                .expect("explainable");
-            for c in proof_constants(&outcome, id, &glossary) {
+            let e = explainer.explain_id(id).expect("explainable");
+            for c in proof_constants(outcome, id, &glossary) {
                 assert!(
                     e.text.contains(&c),
                     "seed {seed}: {} missing constant {c}\n{}",
@@ -138,20 +129,20 @@ fn deterministic_flavor_also_contains_every_constant() {
     use ekg_explain::studies::proof_constants;
     let program = simple_stress::program();
     let glossary = simple_stress::glossary();
-    let pipeline = ExplanationPipeline::builder(program.clone(), simple_stress::GOAL)
+    let artifacts = ProgramArtifacts::builder(program.clone(), simple_stress::GOAL)
         .with_glossary(&glossary)
-        .build()
-        .expect("pipeline");
+        .build_cached()
+        .expect("artifacts");
     let outcome = ChaseSession::new(&program)
         .run(simple_stress::figure_8_database())
         .expect("chase");
     let id = outcome
         .lookup(&Fact::new("default", vec!["C".into()]))
         .unwrap();
-    let e = pipeline
-        .explain_id(&outcome, id, TemplateFlavor::Deterministic)
-        .expect("explainable");
-    for c in proof_constants(&outcome, id, &glossary) {
+    let explainer =
+        Explainer::for_snapshot(artifacts, outcome).with_flavor(TemplateFlavor::Deterministic);
+    let e = explainer.explain_id(id).expect("explainable");
+    for c in proof_constants(explainer.outcome(), id, &glossary) {
         assert!(e.text.contains(&c), "missing {c}: {}", e.text);
     }
 }
@@ -162,21 +153,21 @@ fn pipeline_with_llm_enhancer_still_explains_completely() {
     let llm = SimulatedLlm::new(Prompt::Paraphrase, 3);
     let program = control::program();
     let glossary = control::glossary();
-    let pipeline = ExplanationPipeline::builder(program.clone(), control::GOAL)
+    let artifacts = ProgramArtifacts::builder(program.clone(), control::GOAL)
         .with_glossary(&glossary)
         .with_enhancer(&llm, 4)
-        .build()
-        .expect("pipeline");
+        .build_cached()
+        .expect("artifacts");
     let bundle = finkg::control_bundle(6, 2, 8);
     let outcome = ChaseSession::new(&program)
         .run(bundle.database)
         .expect("chase");
+    let explainer = Explainer::for_snapshot(artifacts, outcome);
+    let outcome = explainer.outcome();
     for target in &bundle.targets {
         let id = outcome.lookup(target).expect("derived");
-        let e = pipeline
-            .explain_id(&outcome, id, TemplateFlavor::Enhanced)
-            .expect("explainable");
-        for c in proof_constants(&outcome, id, &glossary) {
+        let e = explainer.explain_id(id).expect("explainable");
+        for c in proof_constants(outcome, id, &glossary) {
             assert!(e.text.contains(&c), "missing {c}: {}", e.text);
         }
     }
@@ -185,16 +176,16 @@ fn pipeline_with_llm_enhancer_still_explains_completely() {
 #[test]
 fn explanation_queries_on_inputs_are_rejected() {
     let program = control::program();
-    let pipeline = ExplanationPipeline::builder(program.clone(), control::GOAL)
+    let artifacts = ProgramArtifacts::builder(program.clone(), control::GOAL)
         .with_glossary(&control::glossary())
-        .build()
-        .expect("pipeline");
+        .build_cached()
+        .expect("artifacts");
     let outcome = ChaseSession::new(&program)
         .run(scenario::database())
         .expect("chase");
     let own_id = outcome.database.facts_of(Symbol::new("own"))[0];
     assert!(matches!(
-        pipeline.explain_id(&outcome, own_id, TemplateFlavor::Enhanced),
+        Explainer::for_snapshot(artifacts, outcome).explain_id(own_id),
         Err(ExplainError::ExtensionalFact(_))
     ));
 }

@@ -41,15 +41,15 @@ fn example_4_7_tau_and_covering() {
 #[test]
 fn example_4_8_explanation_mentions_every_amount() {
     let program = simple_stress::program();
-    let pipeline = ExplanationPipeline::builder(program.clone(), simple_stress::GOAL)
+    let artifacts = ProgramArtifacts::builder(program.clone(), simple_stress::GOAL)
         .with_glossary(&simple_stress::glossary())
-        .build()
+        .build_cached()
         .unwrap();
     let outcome = ChaseSession::new(&program)
         .run(simple_stress::figure_8_database())
         .unwrap();
-    let e = pipeline
-        .explain(&outcome, &Fact::new("default", vec!["C".into()]))
+    let e = Explainer::for_snapshot(artifacts, outcome)
+        .explain(&Fact::new("default", vec!["C".into()]))
         .unwrap();
     // The amounts of Example 4.8's text: 6M shock, 5M/2M/10M capitals,
     // 7M debt, 2M and 9M loans, 11M total.
@@ -181,15 +181,15 @@ fn figure_18_shape_latency_grows_with_steps() {
 #[test]
 fn section_5_narrative_default_f_explanation() {
     let program = stress::program();
-    let pipeline = ExplanationPipeline::builder(program.clone(), stress::GOAL)
+    let artifacts = ProgramArtifacts::builder(program.clone(), stress::GOAL)
         .with_glossary(&stress::glossary())
-        .build()
+        .build_cached()
         .unwrap();
     let outcome = ChaseSession::new(&program)
         .run(ekg_explain::finkg::scenario::database())
         .unwrap();
-    let e = pipeline
-        .explain(&outcome, &Fact::new("default", vec!["F".into()]))
+    let e = Explainer::for_snapshot(artifacts, outcome)
+        .explain(&Fact::new("default", vec!["F".into()]))
         .unwrap();
     // The narrative: shock on A, cascade through B (long channel) and C
     // (short channel), both exposures of F, F's capital.

@@ -143,19 +143,20 @@ proptest! {
     fn explanations_are_complete_on_random_graphs(edges in ownership_db(7)) {
         let program = control::program();
         let glossary = control::glossary();
-        let pipeline = ExplanationPipeline::builder(program.clone(), control::GOAL)
-        .with_glossary(&glossary)
-        .build().unwrap();
+        let artifacts = ProgramArtifacts::builder(program.clone(), control::GOAL)
+            .with_glossary(&glossary)
+            .build_cached()
+            .unwrap();
         let outcome = ChaseSession::new(&program).run(build_db(&edges)).unwrap();
+        let explainer = Explainer::for_snapshot(artifacts, outcome);
+        let outcome = explainer.outcome();
         for &id in outcome.database.facts_of(Symbol::new("control")) {
             if !outcome.graph.is_derived(id) {
                 continue;
             }
-            let e = pipeline
-                .explain_id(&outcome, id, TemplateFlavor::Enhanced)
-                .unwrap();
+            let e = explainer.explain_id(id).unwrap();
             prop_assert!(!e.text.contains('<'), "{}", e.text);
-            for c in ekg_explain::studies::proof_constants(&outcome, id, &glossary) {
+            for c in ekg_explain::studies::proof_constants(outcome, id, &glossary) {
                 prop_assert!(e.text.contains(&c), "missing {} in {}", c, e.text);
             }
         }
