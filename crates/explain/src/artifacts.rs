@@ -29,7 +29,7 @@ use crate::template::{generate, single_rule_path, Template, TemplateStyle};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-use vadalog::telemetry::{Budget, JsonWriter, RunGuard};
+use vadalog::telemetry::{JsonWriter, RunGuard};
 use vadalog::{
     ChaseConfig, ChaseOutcome, DerivationId, DerivationPolicy, Fact, FactId, GoalCone, Program,
     RuleId, Symbol,
@@ -160,7 +160,7 @@ impl ProgramArtifacts {
             return Ok(0);
         }
         if let Some((guard, start)) = governor {
-            artifacts_trip(guard, start)?;
+            poll_guard(guard, start)?;
         }
         let proof = outcome.graph.proof(id, policy);
         let tau = proof.linearize(&outcome.graph);
@@ -373,7 +373,7 @@ impl<'a> ArtifactsBuilder<'a> {
         };
         let mut report = PipelineReport::default();
 
-        artifacts_trip(&self.guard, start)?;
+        poll_guard(&self.guard, start)?;
         let t = Instant::now();
         let analysis = {
             let _span = vadalog::span!("explain.analysis");
@@ -392,7 +392,7 @@ impl<'a> ArtifactsBuilder<'a> {
         let mut deterministic = Vec::with_capacity(analysis.paths.len());
         let mut enhanced = Vec::with_capacity(analysis.paths.len());
         for (i, path) in analysis.paths.iter().enumerate() {
-            artifacts_trip(&self.guard, start)?;
+            poll_guard(&self.guard, start)?;
             let t = Instant::now();
             let _span = vadalog::span!("explain.template", path = i);
             let det = generate(&program, glossary, path, i, TemplateStyle::Deterministic);
@@ -414,7 +414,7 @@ impl<'a> ArtifactsBuilder<'a> {
             deterministic.push(det);
             enhanced.push(enh);
         }
-        artifacts_trip(&self.guard, start)?;
+        poll_guard(&self.guard, start)?;
         let t = Instant::now();
         let fallbacks = {
             let _span = vadalog::span!("explain.fallbacks");
@@ -495,26 +495,13 @@ impl<'a> ArtifactsBuilder<'a> {
     }
 }
 
-/// Checks a build or query guard (deadline + cancellation only).
-fn artifacts_trip(guard: &RunGuard, start: Instant) -> Result<(), ExplainError> {
-    if let Some(token) = &guard.cancel {
-        if token.is_cancelled() {
-            return Err(ExplainError::ResourceExhausted {
-                budget: Budget::Cancelled,
-                observed: 0,
-            });
-        }
+/// Fails with the trip of a build or query guard, if any: the guard's
+/// cancellation and deadline checks ([`RunGuard::interrupted`]).
+fn poll_guard(guard: &RunGuard, start: Instant) -> Result<(), ExplainError> {
+    match guard.interrupted(start) {
+        Some((budget, observed)) => Err(ExplainError::ResourceExhausted { budget, observed }),
+        None => Ok(()),
     }
-    if let Some(timeout) = guard.timeout {
-        let elapsed = start.elapsed();
-        if elapsed >= timeout {
-            return Err(ExplainError::ResourceExhausted {
-                budget: Budget::Deadline(timeout),
-                observed: elapsed.as_millis() as u64,
-            });
-        }
-    }
-    Ok(())
 }
 
 /// The process-wide memo of built artifacts, keyed by
@@ -763,7 +750,7 @@ impl Explainer {
         }
         let governor = (!self.guard.is_unlimited()).then(|| (&self.guard, Instant::now()));
         if let Some((guard, start)) = governor {
-            artifacts_trip(guard, start)?;
+            poll_guard(guard, start)?;
         }
 
         let mut visited = std::collections::HashSet::new();
@@ -861,6 +848,7 @@ impl Fnv1a {
 mod tests {
     use super::*;
     use crate::glossary::{GlossaryEntry, ValueFormat};
+    use vadalog::telemetry::Budget;
     use vadalog::{parse_program, CancelToken, ChaseSession, Database};
 
     fn reach_program() -> vadalog::ParsedProgram {

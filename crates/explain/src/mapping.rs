@@ -12,9 +12,7 @@ use crate::error::ExplainError;
 use crate::structural::{PathKind, StructuralAnalysis};
 use crate::template::{Segment, Template, TokenClass};
 use std::collections::HashMap;
-use vadalog::{
-    ChaseGraph, ChaseStep, DerivationId, DerivationPolicy, Program, RuleId, Symbol, Value,
-};
+use vadalog::{ChaseGraph, ChaseStep, DerivationId, DerivationPolicy, Program, RuleId, Value};
 
 /// One chase step of τ enriched with its immediate side derivations (the
 /// derivations of premises that are not the previous spine step).
@@ -296,17 +294,6 @@ fn render_values(class: &TokenClass, values: &[Value]) -> String {
             format!("{} and {}", init.join(", "), last)
         }
     }
-}
-
-/// Convenience: looks a variable's value up across a derivation's bindings
-/// (group bindings first, then contributors). Used by diagnostics.
-pub fn lookup_binding(graph: &ChaseGraph, did: DerivationId, var: Symbol) -> Option<Value> {
-    let der = graph.derivation(did);
-    der.bindings.get(&var).copied().or_else(|| {
-        der.contributor_bindings
-            .iter()
-            .find_map(|cb| cb.get(&var).copied())
-    })
 }
 
 #[cfg(test)]

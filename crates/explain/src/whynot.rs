@@ -12,7 +12,7 @@
 use crate::glossary::DomainGlossary;
 use crate::verbalizer::{atom_segments, cmp_words, RawSeg};
 use vadalog::query::select;
-use vadalog::{Atom, Bindings, ChaseOutcome, Condition, Fact, Program, RuleId, Term, Value};
+use vadalog::{Atom, Bindings, ChaseOutcome, Condition, Fact, Program, RuleId, Term};
 
 /// Why one candidate rule failed to derive the fact.
 #[derive(Clone, Debug, PartialEq)]
@@ -214,12 +214,6 @@ fn render_atom_for(fact: &Fact, glossary: &DomainGlossary) -> String {
 
 fn render_condition(c: &Condition) -> String {
     format!("{} {} {}", c.left, cmp_words(c.op), c.right)
-}
-
-/// Convenience: checks whether a value is a string constant (used by
-/// callers constructing query facts).
-pub fn is_entity(v: &Value) -> bool {
-    matches!(v, Value::Str(_))
 }
 
 #[cfg(test)]

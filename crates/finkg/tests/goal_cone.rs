@@ -7,10 +7,6 @@
 //! `flagged` goal and for the `clean_link` goal whose cone crosses two
 //! negated edges, plus a property-based sweep over random sanctions
 //! graphs.
-//!
-//! The assertions hold under `VADALOG_NO_PRUNE` too: the ablation turns
-//! the pruned configuration into a plain full chase, and equality with
-//! the full chase stays trivially true.
 
 use explain::{DomainGlossary, Explainer, ProgramArtifacts};
 use finkg::apps::{
@@ -193,11 +189,7 @@ fn sanctions_clean_link_cone_explanations_match_the_full_chase() {
 #[test]
 fn sanctions_flagged_cone_actually_prunes() {
     // Not an equivalence claim: the flagged cone excludes s4, so the
-    // pruned run must derive no clean_link facts at all. Skipped under
-    // the ablation, which re-enables every rule.
-    if std::env::var("VADALOG_NO_PRUNE").is_ok_and(|v| !v.is_empty() && v != "0") {
-        return;
-    }
+    // pruned run must derive no clean_link facts at all.
     let program = sanctions::program();
     let db = finkg::random_sanctions(40, 3, 7, 7);
     let artifacts = ProgramArtifacts::builder(program.clone(), sanctions::GOAL)

@@ -197,12 +197,12 @@ impl From<std::io::Error> for CheckpointError {
 /// [`ChaseConfig::with_autosave`](crate::engine::ChaseConfig::with_autosave)).
 ///
 /// With a policy set, the engine saves to `path` every
-/// [`every_rounds`](AutosavePolicy::every_rounds) completed rounds, and —
-/// with [`on_guard_trip`](AutosavePolicy::on_guard_trip) — whenever a
-/// budget trips or a worker panic interrupts the run, so the partial
-/// outcome those errors carry is also on disk. Autosave failures surface
-/// as [`ChaseError::Checkpoint`](crate::error::ChaseError) carrying the
-/// in-memory partial outcome: a full disk never silently loses the run.
+/// [`every_rounds`](AutosavePolicy::every_rounds) completed rounds, and
+/// whenever a budget trips or a worker panic interrupts the run, so the
+/// partial outcome those errors carry is also on disk. Autosave failures
+/// surface as [`ChaseError::Checkpoint`](crate::error::ChaseError)
+/// carrying the in-memory partial outcome: a full disk never silently
+/// loses the run.
 #[non_exhaustive]
 #[derive(Clone, Debug)]
 pub struct AutosavePolicy {
@@ -210,9 +210,6 @@ pub struct AutosavePolicy {
     pub path: PathBuf,
     /// Save every N completed rounds (`0`: only on guard trips).
     pub every_rounds: u32,
-    /// Also save when a budget trips or a worker panic interrupts the
-    /// run (default: true).
-    pub on_guard_trip: bool,
 }
 
 impl AutosavePolicy {
@@ -222,7 +219,6 @@ impl AutosavePolicy {
         AutosavePolicy {
             path: path.into(),
             every_rounds: 0,
-            on_guard_trip: true,
         }
     }
 
@@ -231,19 +227,13 @@ impl AutosavePolicy {
         self.every_rounds = n;
         self
     }
-
-    /// Enables or disables saving on guard trips and worker panics.
-    pub fn on_guard_trip(mut self, on: bool) -> AutosavePolicy {
-        self.on_guard_trip = on;
-        self
-    }
 }
 
 /// The program+config fingerprint embedded in (and checked against)
 /// every snapshot: FNV-1a over the program text and the
-/// semantics-affecting configuration. Thread count, budgets and
-/// telemetry knobs are excluded — they may differ between the saving and
-/// the resuming process.
+/// semantics-affecting configuration. Thread count, the guard's budgets,
+/// the autosave policy and the metrics registry are excluded — they may
+/// differ between the saving and the resuming process.
 pub fn fingerprint(program: &Program, config: &ChaseConfig) -> u64 {
     let mut h = Fnv::new();
     h.write(b"vadalog-checkpoint-fingerprint-v1");
@@ -254,7 +244,9 @@ pub fn fingerprint(program: &Program, config: &ChaseConfig) -> u64 {
         // fingerprint, so those snapshots stay resumable.
         1,
         u8::from(config.semi_naive),
-        u8::from(config.fail_on_violation),
+        // Once the fail-on-violation flag, always off since violations
+        // are only collected; kept for the same reason.
+        0,
     ]);
     h.finish()
 }
@@ -1175,13 +1167,16 @@ mod tests {
         let base = ChaseConfig::default();
         let fp = fingerprint(&program, &base);
         assert_eq!(fp, fingerprint(&program, &base.clone().with_threads(8)));
-        assert_eq!(fp, fingerprint(&program, &base.clone().with_max_rounds(3)));
+        let budgeted = base
+            .clone()
+            .with_guard(crate::telemetry::RunGuard::new().with_max_rounds(3));
+        assert_eq!(fp, fingerprint(&program, &budgeted));
         assert_ne!(fp, fingerprint(&other, &base));
         let naive = fingerprint(&program, &base.clone().with_semi_naive(false));
         assert_ne!(fp, naive);
-        // Pinned to the values computed before the index-use flag became
-        // a constant byte: snapshots written back then must still pass
-        // the fingerprint check.
+        // Pinned to the values computed before the index-use and
+        // fail-on-violation flags became constant bytes: snapshots written
+        // back then must still pass the fingerprint check.
         assert_eq!(fp, 0x5bf8_70fd_b439_730b);
         assert_eq!(naive, 0x5bf5_0afd_b436_8fe2);
     }

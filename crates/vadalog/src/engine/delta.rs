@@ -48,8 +48,8 @@
 //! EDB, which trivially satisfies the determinism contract.
 
 use super::{
-    join_plans, match_chunk, match_delta, prune_ablation_default, Chase, ChaseConfig, ChaseOutcome,
-    ChaseSession, JoinPlan, MatchChunk, MatchMetrics,
+    join_plans, match_chunk, match_delta, Chase, ChaseConfig, ChaseOutcome, ChaseSession, JoinPlan,
+    MatchChunk, MatchMetrics,
 };
 use crate::atom::{Atom, Fact};
 use crate::database::{Database, FactId};
@@ -204,9 +204,8 @@ impl<'p> ChaseSession<'p> {
     ///
     /// On success the session's live outcome is replaced by the
     /// maintained one; on any error — a rejected delta
-    /// ([`ChaseError::Delta`]), a constraint violation under
-    /// `fail_on_violation`, a budget trip of the fallback re-chase — the
-    /// live outcome is left untouched.
+    /// ([`ChaseError::Delta`]), a budget trip of the fallback re-chase —
+    /// the live outcome is left untouched.
     ///
     /// Maintenance itself runs sequentially (its cost is proportional to
     /// the delta's footprint, not the store), so it is not governed by
@@ -322,7 +321,7 @@ fn updated_edb(live: &ChaseOutcome, net: &NetDelta) -> Vec<Fact> {
 /// stays cheap exactly when the cone is sharp.
 fn incremental_eligible(program: &Program, config: &ChaseConfig, live: &ChaseOutcome) -> bool {
     config.semi_naive
-        && (config.goal_cone.is_none() || prune_ablation_default())
+        && config.goal_cone.is_none()
         && live.database.inactive_count() == 0
         && program
             .rules()
@@ -1079,14 +1078,6 @@ fn replay(
         .iter()
         .map(|&(_, idx)| program.rule(RuleId(idx)).label.clone())
         .collect();
-    if config.fail_on_violation {
-        if let Some(label) = violations.first() {
-            return Err(ChaseError::ConstraintViolated {
-                rule: label.clone(),
-            });
-        }
-    }
-
     let mut report = RunReport {
         termination: Termination::Completed,
         threads: config.effective_threads(),
@@ -1095,23 +1086,21 @@ fn replay(
         rules: rules_report,
         ..RunReport::default()
     };
-    if config.full_telemetry {
-        let mut facts_end = edb_len as u64;
-        for round in 1..=total_rounds {
-            let committed = round_fresh[round as usize];
-            facts_end += committed;
-            let stratum = stratum_first.partition_point(|&first| first <= round) - 1;
-            report.rounds_log.push(RoundStats {
-                round,
-                stratum: stratum as u32,
-                matches: 0, // maintenance enumerates no from-scratch matches
-                facts_committed: committed,
-                facts_end,
-                duration_ns: 0,
-            });
-        }
-        report.timings.total_ns = started.elapsed().as_nanos() as u64;
+    let mut facts_end = edb_len as u64;
+    for round in 1..=total_rounds {
+        let committed = round_fresh[round as usize];
+        facts_end += committed;
+        let stratum = stratum_first.partition_point(|&first| first <= round) - 1;
+        report.rounds_log.push(RoundStats {
+            round,
+            stratum: stratum as u32,
+            matches: 0, // maintenance enumerates no from-scratch matches
+            facts_committed: committed,
+            facts_end,
+            duration_ns: 0,
+        });
     }
+    report.timings.total_ns = started.elapsed().as_nanos() as u64;
     report.peak.facts = ndb.len() as u64;
     report.peak.derivations = ngraph.derivations().len() as u64;
     report.peak.approx_bytes = (ndb.approx_bytes() + ngraph.approx_bytes()) as u64;
@@ -1260,12 +1249,7 @@ mod tests {
         let applied = session
             .apply_delta(Delta::new().add(own("C", "D")))
             .unwrap();
-        let expected = if prune_ablation_default() {
-            DeltaStrategy::Incremental
-        } else {
-            DeltaStrategy::FullRechase
-        };
-        assert_eq!(applied.strategy, expected);
+        assert_eq!(applied.strategy, DeltaStrategy::FullRechase);
         let scratch = ChaseSession::new(&parsed.program)
             .with_config(config)
             .run(
@@ -1275,13 +1259,11 @@ mod tests {
             )
             .unwrap();
         assert_eq!(structural(&scratch), structural(&applied.outcome));
-        if !prune_ablation_default() {
-            assert!(applied
-                .outcome
-                .database
-                .facts_of("audited".into())
-                .is_empty());
-        }
+        assert!(applied
+            .outcome
+            .database
+            .facts_of("audited".into())
+            .is_empty());
     }
 
     #[test]

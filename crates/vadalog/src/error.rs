@@ -161,11 +161,6 @@ pub enum ChaseError {
         /// and report.
         partial: Box<ChaseOutcome>,
     },
-    /// A negative constraint was violated.
-    ConstraintViolated {
-        /// The constraint rule label.
-        rule: String,
-    },
     /// A worker panicked while evaluating a rule in the parallel match
     /// phase. The panic was isolated (`catch_unwind`): the process
     /// survives, and the error carries the deterministic state of the
@@ -277,9 +272,6 @@ impl fmt::Display for ChaseError {
                     budget, observed
                 ),
             },
-            ChaseError::ConstraintViolated { rule } => {
-                write!(f, "negative constraint `{}` violated", rule)
-            }
             ChaseError::WorkerPanic { rule, message, .. } => write!(
                 f,
                 "worker panicked evaluating rule `{}`: {}; partial outcome retained",
@@ -357,8 +349,12 @@ mod tests {
         };
         let source = std::error::Error::source(&e).expect("chained source");
         assert_eq!(source.to_string(), "division by zero");
-        let violated = ChaseError::ConstraintViolated { rule: "v1".into() };
-        assert!(std::error::Error::source(&violated).is_none());
+        let cancelled = ChaseError::ResourceExhausted {
+            budget: Budget::Cancelled,
+            observed: 0,
+            partial: Box::new(crate::engine::ChaseOutcome::empty()),
+        };
+        assert!(std::error::Error::source(&cancelled).is_none());
     }
 
     #[test]

@@ -11,14 +11,12 @@
 //!
 //! # Cost model
 //!
-//! Span *compilation* is unconditional — there is no feature gate on the
-//! instrumentation itself. With no collector installed, entering a span
-//! costs one relaxed atomic load and constructs nothing (the field
-//! closure is never called). The `tracing` cargo feature only arms a
-//! *default stderr sink* (active when the `VADALOG_TRACE` environment
-//! variable is set and no collector is installed); with a collector
-//! installed, feature-gated and default builds produce identical trace
-//! output.
+//! Span compilation is unconditional: there is no feature gate on the
+//! instrumentation. Spans are observed only while a collector is
+//! installed ([`install`]) or the current thread captures them
+//! ([`capture_begin`]). Otherwise entering a span costs one relaxed
+//! atomic load and one thread-local flag read and constructs nothing (the
+//! field closure is never called).
 //!
 //! ```
 //! use vadalog::obs::span::{install, uninstall, RingCollector};
@@ -235,36 +233,11 @@ fn dropped_total() -> &'static Arc<super::metrics::Counter> {
     })
 }
 
-/// A sink that prints one line per span to stderr (the `tracing`
-/// feature's default sink; also installable explicitly).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StderrSink;
-
-impl SpanSink for StderrSink {
-    fn record(&self, span: SpanRecord) {
-        let mut line = format!(
-            "[span] {} id={} parent={} thread={} start={}ns dur={}ns",
-            span.name,
-            span.id,
-            span.parent.unwrap_or(0),
-            span.thread,
-            span.start_ns,
-            span.duration_ns
-        );
-        for (key, value) in &span.fields {
-            line.push_str(&format!(" {key}={value}"));
-        }
-        eprintln!("{line}");
-    }
-}
-
 /// Fast "is any sink listening" flag: the whole cost of a disabled span.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 /// The installed collector. Read-locked per span close — uncontended in
 /// practice (installation is a test/startup-time event).
 static COLLECTOR: RwLock<Option<Arc<dyn SpanSink>>> = RwLock::new(None);
-/// Whether the feature-gated stderr fallback is armed (resolved once).
-static STDERR_ARMED: OnceLock<bool> = OnceLock::new();
 /// Monotonic span-id source.
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 /// Monotonic thread-id source (0 = unassigned sentinel in the TLS cell).
@@ -326,12 +299,6 @@ impl Drop for Capture {
     }
 }
 
-/// True iff the feature-gated stderr fallback should report spans.
-fn stderr_armed() -> bool {
-    *STDERR_ARMED
-        .get_or_init(|| cfg!(feature = "tracing") && std::env::var_os("VADALOG_TRACE").is_some())
-}
-
 /// Installs `sink` as the process-wide span collector, replacing any
 /// previous one. Spans already open keep reporting — to the new sink.
 pub fn install(sink: Arc<dyn SpanSink>) {
@@ -341,34 +308,22 @@ pub fn install(sink: Arc<dyn SpanSink>) {
     ENABLED.store(true, Ordering::Release);
 }
 
-/// Removes the installed collector. Span observation stays on only if
-/// the `tracing` feature's stderr fallback is armed.
+/// Removes the installed collector. Spans stay observed only on threads
+/// with an active [`capture_begin`].
 pub fn uninstall() {
     *COLLECTOR
         .write()
         .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-    ENABLED.store(stderr_armed(), Ordering::Release);
+    ENABLED.store(false, Ordering::Release);
 }
 
-/// True iff spans are being observed (a collector is installed, a
-/// thread-local [`capture_begin`] is active, or the stderr fallback is
-/// armed). One relaxed atomic load plus one thread-local flag read; the
-/// `span!` macro checks this before constructing anything.
+/// True iff spans are being observed (a collector is installed or a
+/// thread-local [`capture_begin`] is active). One relaxed atomic load
+/// plus one thread-local flag read; the `span!` macro checks this before
+/// constructing anything.
 #[inline]
 pub fn span_enabled() -> bool {
-    if ENABLED.load(Ordering::Relaxed) {
-        return true;
-    }
-    if CAPTURING.with(std::cell::Cell::get) {
-        return true;
-    }
-    // The stderr fallback arms lazily on the first probe (it consults
-    // the environment exactly once).
-    if stderr_armed() {
-        ENABLED.store(true, Ordering::Release);
-        return true;
-    }
-    false
+    ENABLED.load(Ordering::Relaxed) || CAPTURING.with(std::cell::Cell::get)
 }
 
 /// Nanoseconds since the process trace epoch — the timebase every span
@@ -474,26 +429,19 @@ impl Drop for Span {
             trace_id: active.trace.as_ref().map(|t| Arc::clone(&t.trace_id)),
             request_id: active.trace.as_ref().map(|t| t.request_id),
         };
-        let captured = CAPTURING.with(std::cell::Cell::get)
-            && CAPTURE.with(|cell| {
+        if CAPTURING.with(std::cell::Cell::get) {
+            CAPTURE.with(|cell| {
                 if let Some(spans) = cell.borrow_mut().as_mut() {
                     spans.push(record.clone());
-                    true
-                } else {
-                    false
                 }
             });
+        }
         let sink = COLLECTOR
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clone();
-        match sink {
-            Some(sink) => sink.record(record),
-            None => {
-                if !captured && stderr_armed() {
-                    StderrSink.record(record);
-                }
-            }
+        if let Some(sink) = sink {
+            sink.record(record);
         }
     }
 }

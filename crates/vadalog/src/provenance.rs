@@ -6,7 +6,7 @@
 //! risk facts); explanation extraction chooses among them with a
 //! [`DerivationPolicy`].
 
-use crate::database::{Database, FactId};
+use crate::database::FactId;
 use crate::expr::Bindings;
 use crate::rule::RuleId;
 use std::collections::{HashMap, HashSet};
@@ -165,7 +165,8 @@ impl ChaseGraph {
 
     /// Approximate heap footprint of the recorded derivations, in bytes.
     /// Maintained in O(1) per record; polled (together with
-    /// [`Database::approx_bytes`]) by the engine's memory budget.
+    /// [`Database::approx_bytes`](crate::database::Database::approx_bytes))
+    /// by the engine's memory budget.
     pub fn approx_bytes(&self) -> usize {
         self.approx_bytes
     }
@@ -338,43 +339,6 @@ impl ProofTree {
             derivation: did,
             contributors: der.contributors,
         });
-    }
-}
-
-/// Renders a proof tree with fact text, for debugging and the examples.
-pub fn render_proof(tree: &ProofTree, db: &Database, graph: &ChaseGraph) -> String {
-    let mut out = String::new();
-    render_rec(tree, db, graph, 0, &mut out);
-    out
-}
-
-fn render_rec(
-    tree: &ProofTree,
-    db: &Database,
-    graph: &ChaseGraph,
-    indent: usize,
-    out: &mut String,
-) {
-    use std::fmt::Write as _;
-    let pad = "  ".repeat(indent);
-    match tree.step {
-        Some(did) => {
-            let der = graph.derivation(did);
-            let _ = writeln!(
-                out,
-                "{}{}  [rule {} @ round {}]",
-                pad,
-                db.fact(tree.fact),
-                der.rule,
-                der.round
-            );
-        }
-        None => {
-            let _ = writeln!(out, "{}{}  [edb]", pad, db.fact(tree.fact));
-        }
-    }
-    for c in &tree.children {
-        render_rec(c, db, graph, indent + 1, out);
     }
 }
 

@@ -119,9 +119,12 @@ impl Budget {
 
 /// Resource governance for one run: deadline, cancellation and budgets.
 ///
-/// The default guard is unlimited. Budgets set on the guard compose with
-/// the legacy [`ChaseConfig`](crate::engine::ChaseConfig) `max_rounds` /
-/// `max_facts` knobs: the tighter bound wins.
+/// The guard is the only place a chase run's budgets live. A round or
+/// fact budget left unset means the engine's default cap, 10,000 rounds
+/// and 5,000,000 facts: the backstop for existential programs whose chase
+/// does not terminate. A budget set on the guard replaces the cap. The
+/// deadline, the cancellation token and the memory budget have no
+/// default.
 ///
 /// ```
 /// use std::time::Duration;
@@ -140,16 +143,17 @@ pub struct RunGuard {
     pub timeout: Option<Duration>,
     /// Cooperative cancellation token observed at safe points.
     pub cancel: Option<CancelToken>,
-    /// Maximum number of evaluation rounds.
+    /// Maximum number of evaluation rounds (unset: 10,000).
     pub max_rounds: Option<u64>,
-    /// Maximum number of facts (EDB + derived) in the store.
+    /// Maximum number of facts (EDB + derived) in the store (unset:
+    /// 5,000,000).
     pub max_facts: Option<u64>,
     /// Maximum approximate fact-store size in bytes.
     pub max_bytes: Option<u64>,
 }
 
 impl RunGuard {
-    /// An unlimited guard.
+    /// A guard with no deadline, no token and the default caps.
     pub fn new() -> RunGuard {
         RunGuard::default()
     }
@@ -192,40 +196,46 @@ impl RunGuard {
             && self.max_facts.is_none()
             && self.max_bytes.is_none()
     }
+
+    /// The asynchronous trips of work started at `start`: a cancelled
+    /// token, then an elapsed deadline. Returns the tripped budget and
+    /// its observation (elapsed milliseconds for the deadline, 0 for
+    /// cancellation). The chase polls it at its safe points; explanation
+    /// builds and queries poll it between their stages.
+    pub fn interrupted(&self, start: Instant) -> Option<(Budget, u64)> {
+        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            return Some((Budget::Cancelled, 0));
+        }
+        let timeout = self.timeout?;
+        let elapsed = start.elapsed();
+        (elapsed >= timeout).then_some((Budget::Deadline(timeout), elapsed.as_millis() as u64))
+    }
 }
 
-/// A [`RunGuard`] armed at a concrete start instant, with the legacy
-/// config limits folded in. Engine-internal; polled at safe points.
+/// The round cap of a guard without a round budget.
+const DEFAULT_MAX_ROUNDS: u64 = 10_000;
+/// The fact cap of a guard without a fact budget.
+const DEFAULT_MAX_FACTS: u64 = 5_000_000;
+
+/// A [`RunGuard`] armed at a concrete start instant, with the default caps
+/// filled in. Engine-internal; polled at safe points.
 #[derive(Clone, Debug)]
 pub(crate) struct ArmedGuard {
-    deadline: Option<(Instant, Duration)>,
-    cancel: Option<CancelToken>,
+    guard: RunGuard,
+    start: Instant,
     max_rounds: u64,
     max_facts: u64,
-    max_bytes: Option<u64>,
 }
 
 impl ArmedGuard {
-    /// Arms `guard` at `start`, folding in the legacy limits (the tighter
-    /// bound wins).
-    pub(crate) fn arm(
-        guard: &RunGuard,
-        start: Instant,
-        legacy_max_rounds: usize,
-        legacy_max_facts: usize,
-    ) -> ArmedGuard {
+    /// Arms `guard` at `start`; an unset round or fact budget takes its
+    /// default cap.
+    pub(crate) fn arm(guard: &RunGuard, start: Instant) -> ArmedGuard {
         ArmedGuard {
-            deadline: guard.timeout.map(|t| (start + t, t)),
-            cancel: guard.cancel.clone(),
-            max_rounds: guard
-                .max_rounds
-                .unwrap_or(u64::MAX)
-                .min(legacy_max_rounds as u64),
-            max_facts: guard
-                .max_facts
-                .unwrap_or(u64::MAX)
-                .min(legacy_max_facts as u64),
-            max_bytes: guard.max_bytes,
+            guard: guard.clone(),
+            start,
+            max_rounds: guard.max_rounds.unwrap_or(DEFAULT_MAX_ROUNDS),
+            max_facts: guard.max_facts.unwrap_or(DEFAULT_MAX_FACTS),
         }
     }
 
@@ -233,28 +243,13 @@ impl ArmedGuard {
     /// deadline): when false, the match phase skips its per-chunk checks
     /// entirely, so governance-free runs pay nothing there.
     pub(crate) fn has_async_trips(&self) -> bool {
-        self.cancel.is_some() || self.deadline.is_some()
+        self.guard.cancel.is_some() || self.guard.timeout.is_some()
     }
 
     /// Cheap check of the asynchronous trips (cancellation, deadline);
     /// suitable for chunk boundaries of the parallel match phase.
     pub(crate) fn interrupted(&self) -> Option<(Budget, u64)> {
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return Some((Budget::Cancelled, 0));
-            }
-        }
-        if let Some((deadline, timeout)) = self.deadline {
-            let now = Instant::now();
-            if now >= deadline {
-                let start = deadline - timeout;
-                return Some((
-                    Budget::Deadline(timeout),
-                    now.duration_since(start).as_millis() as u64,
-                ));
-            }
-        }
-        None
+        self.guard.interrupted(self.start)
     }
 
     /// Full check of every budget; used at round boundaries and between
@@ -267,7 +262,7 @@ impl ArmedGuard {
         if facts > self.max_facts {
             return Some((Budget::Facts(self.max_facts), facts));
         }
-        if let Some(max_bytes) = self.max_bytes {
+        if let Some(max_bytes) = self.guard.max_bytes {
             if bytes > max_bytes {
                 return Some((Budget::MemoryBytes(max_bytes), bytes));
             }
@@ -427,10 +422,9 @@ pub struct RunReport {
     pub strata: u32,
     /// Per-rule counters, indexed by rule id.
     pub rules: Vec<RuleStats>,
-    /// Per-round counters, in execution order. Empty when the run was
-    /// configured with `ChaseConfig::full_telemetry` disabled.
+    /// Per-round counters, in execution order.
     pub rounds_log: Vec<RoundStats>,
-    /// Wall-clock phase timings (zeroed when `full_telemetry` is off).
+    /// Wall-clock phase timings.
     pub timings: PhaseTimings,
     /// Peak sizes.
     pub peak: PeakStats,
@@ -614,18 +608,35 @@ mod tests {
     }
 
     #[test]
-    fn armed_guard_trips_tightest_bound() {
-        let guard = RunGuard::new().with_max_rounds(100);
-        let armed = ArmedGuard::arm(&guard, Instant::now(), 10, usize::MAX);
-        // Legacy max_rounds (10) is tighter than the guard's (100).
-        assert_eq!(armed.trip(11, 0, 0), Some((Budget::Rounds(10), 11)));
-        assert_eq!(armed.trip(10, 0, 0), None);
+    fn deadline_only_guard_runs_under_the_default_caps() {
+        let guard = RunGuard::new().with_timeout(Duration::from_secs(3600));
+        let armed = ArmedGuard::arm(&guard, Instant::now());
+        assert_eq!(
+            armed.trip(10_001, 0, 0),
+            Some((Budget::Rounds(10_000), 10_001))
+        );
+        assert_eq!(
+            armed.trip(1, 5_000_001, 0),
+            Some((Budget::Facts(5_000_000), 5_000_001))
+        );
+        assert_eq!(armed.trip(10_000, 5_000_000, 0), None);
+    }
+
+    #[test]
+    fn guard_budget_above_the_default_cap_replaces_it() {
+        let guard = RunGuard::new().with_max_rounds(20_000);
+        let armed = ArmedGuard::arm(&guard, Instant::now());
+        assert_eq!(armed.trip(10_001, 0, 0), None);
+        assert_eq!(
+            armed.trip(20_001, 0, 0),
+            Some((Budget::Rounds(20_000), 20_001))
+        );
     }
 
     #[test]
     fn armed_guard_reports_fact_and_memory_budgets() {
         let guard = RunGuard::new().with_max_facts(5).with_max_bytes(100);
-        let armed = ArmedGuard::arm(&guard, Instant::now(), usize::MAX, usize::MAX);
+        let armed = ArmedGuard::arm(&guard, Instant::now());
         assert_eq!(armed.trip(1, 6, 0), Some((Budget::Facts(5), 6)));
         assert_eq!(armed.trip(1, 5, 101), Some((Budget::MemoryBytes(100), 101)));
         assert_eq!(armed.trip(1, 5, 100), None);
@@ -634,12 +645,7 @@ mod tests {
     #[test]
     fn expired_deadline_trips() {
         let guard = RunGuard::new().with_timeout(Duration::from_millis(1));
-        let armed = ArmedGuard::arm(
-            &guard,
-            Instant::now() - Duration::from_millis(10),
-            usize::MAX,
-            usize::MAX,
-        );
+        let armed = ArmedGuard::arm(&guard, Instant::now() - Duration::from_millis(10));
         match armed.interrupted() {
             Some((Budget::Deadline(t), observed)) => {
                 assert_eq!(t, Duration::from_millis(1));
@@ -650,11 +656,18 @@ mod tests {
     }
 
     #[test]
+    fn unrepresentable_deadline_never_trips() {
+        let guard = RunGuard::new().with_timeout(Duration::MAX);
+        let armed = ArmedGuard::arm(&guard, Instant::now());
+        assert_eq!(armed.interrupted(), None);
+    }
+
+    #[test]
     fn cancelled_token_trips_immediately() {
         let token = CancelToken::new();
         token.cancel();
         let guard = RunGuard::new().with_cancel_token(token);
-        let armed = ArmedGuard::arm(&guard, Instant::now(), usize::MAX, usize::MAX);
+        let armed = ArmedGuard::arm(&guard, Instant::now());
         assert_eq!(armed.interrupted(), Some((Budget::Cancelled, 0)));
     }
 
