@@ -26,13 +26,13 @@ use crate::glossary::DomainGlossary;
 use crate::mapping::{cover_from, instantiate, step_infos, PathCover};
 use crate::structural::{analyze_with, AnalysisConfig, StructuralAnalysis};
 use crate::template::{generate, single_rule_path, Template, TemplateStyle};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use vadalog::telemetry::{JsonWriter, RunGuard};
 use vadalog::{
     ChaseConfig, ChaseOutcome, DerivationId, DerivationPolicy, Fact, FactId, GoalCone, Program,
-    RuleId, Symbol,
+    ProofTree, RuleId, Symbol,
 };
 
 /// The immutable once-per-application build product of the explanation
@@ -46,6 +46,9 @@ use vadalog::{
 pub struct ProgramArtifacts {
     program: Program,
     analysis: StructuralAnalysis,
+    /// One label per reasoning path (`{o1,o3}`, `{o3}*`), formatted once
+    /// at build time and cloned into each explanation that uses the path.
+    labels: Vec<String>,
     deterministic: Vec<Template>,
     enhanced: Vec<Template>,
     /// Per-rule fallback templates (solid, dashed), used for side
@@ -143,16 +146,20 @@ impl ProgramArtifacts {
         Ok(())
     }
 
+    /// Tells the story of `proof`, the proof of one fact under `policy`:
+    /// unabsorbed side branches first, then one template piece per cover
+    /// piece, each appended to `text` after a `" "` separator and labelled
+    /// in `paths`. Returns the spine's length in chase steps.
     #[allow(clippy::too_many_arguments)]
     fn explain_rec(
         &self,
         outcome: &ChaseOutcome,
-        id: FactId,
+        proof: &ProofTree,
         flavor: TemplateFlavor,
         policy: DerivationPolicy,
         governor: Option<(&RunGuard, Instant)>,
-        visited: &mut std::collections::HashSet<DerivationId>,
-        texts: &mut Vec<String>,
+        visited: &mut HashSet<DerivationId>,
+        text: &mut String,
         paths: &mut Vec<String>,
         depth: u32,
     ) -> Result<usize, ExplainError> {
@@ -162,7 +169,6 @@ impl ProgramArtifacts {
         if let Some((guard, start)) = governor {
             poll_guard(guard, start)?;
         }
-        let proof = outcome.graph.proof(id, policy);
         let tau = proof.linearize(&outcome.graph);
         let steps = step_infos(&outcome.graph, &tau, policy);
         // A recursive call may find that a prefix of its spine was already
@@ -196,14 +202,15 @@ impl ProgramArtifacts {
                 // the last spine step of the side fact's proof); the
                 // single-rule fallback marks it explicitly.
                 let conclusion = outcome.graph.derivation(side).conclusion;
+                let side_proof = outcome.graph.proof(conclusion, policy);
                 match self.explain_rec(
                     outcome,
-                    conclusion,
+                    &side_proof,
                     flavor,
                     policy,
                     governor,
                     visited,
-                    texts,
+                    text,
                     paths,
                     depth + 1,
                 ) {
@@ -215,7 +222,7 @@ impl ProgramArtifacts {
                                 side,
                                 policy,
                                 visited,
-                                texts,
+                                text,
                                 paths,
                                 depth + 1,
                             );
@@ -228,12 +235,9 @@ impl ProgramArtifacts {
 
         let templates = self.templates(flavor);
         for piece in &covering.pieces {
-            texts.push(instantiate(
-                &templates[piece.path_index],
-                piece,
-                &outcome.graph,
-            ));
-            paths.push(self.analysis.paths[piece.path_index].label(&self.program));
+            separate_piece(text, paths);
+            instantiate(&templates[piece.path_index], piece, &outcome.graph, text);
+            paths.push(self.labels[piece.path_index].clone());
         }
         Ok(tau.len())
     }
@@ -246,8 +250,8 @@ impl ProgramArtifacts {
         outcome: &ChaseOutcome,
         did: DerivationId,
         policy: DerivationPolicy,
-        visited: &mut std::collections::HashSet<DerivationId>,
-        texts: &mut Vec<String>,
+        visited: &mut HashSet<DerivationId>,
+        text: &mut String,
         paths: &mut Vec<String>,
         depth: u32,
     ) {
@@ -255,27 +259,35 @@ impl ProgramArtifacts {
             return;
         }
         let der = outcome.graph.derivation(did);
-        let (rule, contributors, premises) = (der.rule, der.contributors, der.premises.clone());
-        for p in premises {
+        for &p in &der.premises {
             if !outcome.graph.is_derived(p) {
                 continue;
             }
             if let Some(pd) = outcome.graph.choose_derivation(p, policy) {
                 if visited.insert(pd) {
-                    self.explain_single(outcome, pd, policy, visited, texts, paths, depth + 1);
+                    self.explain_single(outcome, pd, policy, visited, text, paths, depth + 1);
                 }
             }
         }
-        let (solid, dashed) = &self.fallbacks[rule.0];
-        let template = if contributors > 1 { dashed } else { solid };
+        let (solid, dashed) = &self.fallbacks[der.rule.0];
+        let template = if der.contributors > 1 { dashed } else { solid };
         let piece = PathCover {
             path_index: usize::MAX,
             assignments: std::iter::once((0usize, did)).collect(),
             consumed: 0,
             side_used: 0,
         };
-        texts.push(instantiate(template, &piece, &outcome.graph));
-        paths.push(format!("[{}]", self.program.rule(rule).label));
+        separate_piece(text, paths);
+        instantiate(template, &piece, &outcome.graph, text);
+        paths.push(format!("[{}]", self.program.rule(der.rule).label));
+    }
+}
+
+/// Pushes the `" "` that separates a piece from the one before it; the
+/// labels in `paths` count the pieces already told.
+fn separate_piece(text: &mut String, paths: &[String]) {
+    if !paths.is_empty() {
+        text.push(' ');
     }
 }
 
@@ -389,6 +401,7 @@ impl<'a> ArtifactsBuilder<'a> {
         report.paths = analysis.paths.len() as u64;
 
         let program = self.program;
+        let labels = analysis.paths.iter().map(|p| p.label(&program)).collect();
         let mut deterministic = Vec::with_capacity(analysis.paths.len());
         let mut enhanced = Vec::with_capacity(analysis.paths.len());
         for (i, path) in analysis.paths.iter().enumerate() {
@@ -475,6 +488,7 @@ impl<'a> ArtifactsBuilder<'a> {
         Ok(ProgramArtifacts {
             program,
             analysis,
+            labels,
             deterministic,
             enhanced,
             fallbacks,
@@ -736,6 +750,13 @@ impl Explainer {
     /// recursively and prepended as preconditions, so the explanation
     /// contains *every* constant of the proof — the completeness guarantee
     /// of Sec. 6.3.
+    ///
+    /// The query extracts the fact's proof once, borrowing the recorded
+    /// derivations, and reads both the story and the `support` facts from
+    /// it; only unabsorbed side branches extract their own sub-proofs.
+    /// Every template piece and constant is rendered straight into the
+    /// explanation's one text buffer, and path labels are the ones
+    /// formatted when the artifacts were built.
     pub fn explain_id(&self, id: FactId) -> Result<Explanation, ExplainError> {
         let (artifacts, outcome, policy) = (&*self.artifacts, &*self.outcome, self.policy);
         if outcome.database.len() <= id.0 as usize {
@@ -753,24 +774,23 @@ impl Explainer {
             poll_guard(guard, start)?;
         }
 
-        let mut visited = std::collections::HashSet::new();
-        let mut texts: Vec<String> = Vec::new();
+        let proof = outcome.graph.proof(id, policy);
+        let mut visited = HashSet::new();
+        let mut text = String::new();
         let mut paths: Vec<String> = Vec::new();
         let chase_steps = artifacts.explain_rec(
             outcome,
-            id,
+            &proof,
             self.flavor,
             policy,
             governor,
             &mut visited,
-            &mut texts,
+            &mut text,
             &mut paths,
             0,
         )?;
 
-        let support = outcome
-            .graph
-            .proof(id, policy)
+        let support = proof
             .facts()
             .into_iter()
             .map(|f| outcome.database.fact(f).clone())
@@ -778,7 +798,7 @@ impl Explainer {
 
         Ok(Explanation {
             fact: outcome.database.fact(id).clone(),
-            text: texts.join(" "),
+            text,
             paths,
             chase_steps,
             support,

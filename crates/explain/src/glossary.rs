@@ -7,6 +7,7 @@
 //! as percentages, amounts as millions of euros, ...).
 
 use std::collections::HashMap;
+use std::fmt::Write;
 use vadalog::{Symbol, Value};
 
 /// How to render a constant of a glossary parameter in explanation text.
@@ -24,31 +25,41 @@ pub enum ValueFormat {
 impl ValueFormat {
     /// Renders `value` under this format.
     pub fn render(self, value: &Value) -> String {
+        let mut out = String::new();
+        self.render_into(value, &mut out);
+        out
+    }
+
+    /// Appends `value` rendered under this format to `out`: the one
+    /// value-formatting routine behind templates, verbalizations and
+    /// studies.
+    pub fn render_into(self, value: &Value, out: &mut String) {
         match self {
             ValueFormat::Plain => match value {
-                Value::Str(s) => s.as_str().to_owned(),
-                other => other.to_string(),
+                Value::Str(s) => out.push_str(s.as_str()),
+                other => {
+                    let _ = write!(out, "{other}");
+                }
             },
             ValueFormat::MillionsEuro => match value.as_f64() {
-                Some(x) => {
-                    if x.fract() == 0.0 {
-                        format!("{}M euros", x as i64)
-                    } else {
-                        format!("{:.1}M euros", x)
-                    }
+                Some(x) if x.fract() == 0.0 => {
+                    let _ = write!(out, "{}M euros", x as i64);
                 }
-                None => ValueFormat::Plain.render(value),
+                Some(x) => {
+                    let _ = write!(out, "{x:.1}M euros");
+                }
+                None => ValueFormat::Plain.render_into(value, out),
             },
             ValueFormat::Percent => match value.as_f64() {
                 Some(x) => {
                     let pct = x * 100.0;
                     if (pct - pct.round()).abs() < 1e-9 {
-                        format!("{}%", pct.round() as i64)
+                        let _ = write!(out, "{}%", pct.round() as i64);
                     } else {
-                        format!("{:.1}%", pct)
+                        let _ = write!(out, "{pct:.1}%");
                     }
                 }
-                None => ValueFormat::Plain.render(value),
+                None => ValueFormat::Plain.render_into(value, out),
             },
         }
     }

@@ -9,6 +9,7 @@
 //! chase derivations.
 
 use crate::error::ExplainError;
+use crate::glossary::ValueFormat;
 use crate::structural::{PathKind, StructuralAnalysis};
 use crate::template::{Segment, Template, TokenClass};
 use std::collections::HashMap;
@@ -164,13 +165,6 @@ pub fn match_path_at(
     start: usize,
 ) -> Option<PathCover> {
     let path = &analysis.paths[path_index];
-    let occ_of: HashMap<RuleId, usize> = path
-        .rules
-        .iter()
-        .enumerate()
-        .map(|(occ, &r)| (r, occ))
-        .collect();
-
     let mode_ok = |rule: RuleId, contributors: u32| -> bool {
         if program.rule(rule).has_aggregate() {
             (contributors > 1) == path.is_dashed(rule)
@@ -183,7 +177,8 @@ pub fn match_path_at(
     let mut pos = start;
     while pos < steps.len() {
         let step = &steps[pos];
-        let Some(&occ) = occ_of.get(&step.rule) else {
+        // A rule occurring twice in the path binds its last occurrence.
+        let Some(occ) = path.rules.iter().rposition(|&r| r == step.rule) else {
             break;
         };
         if assignments.contains_key(&occ) || !mode_ok(step.rule, step.contributors) {
@@ -198,25 +193,27 @@ pub fn match_path_at(
     }
 
     // Back the unassigned occurrences with side derivations.
-    let mut side_pool: Vec<DerivationId> = steps[start..pos]
-        .iter()
-        .flat_map(|s| s.sides.iter().copied())
-        .collect();
     let mut side_used = 0usize;
-    for (occ, &rule) in path.rules.iter().enumerate() {
-        if assignments.contains_key(&occ) {
-            continue;
-        }
-        let found = side_pool.iter().position(|&d| {
-            let der = graph.derivation(d);
-            der.rule == rule && mode_ok(rule, der.contributors)
-        });
-        match found {
-            Some(i) => {
-                assignments.insert(occ, side_pool.remove(i));
-                side_used += 1;
+    if assignments.len() < path.rules.len() {
+        let mut side_pool: Vec<DerivationId> = steps[start..pos]
+            .iter()
+            .flat_map(|s| s.sides.iter().copied())
+            .collect();
+        for (occ, &rule) in path.rules.iter().enumerate() {
+            if assignments.contains_key(&occ) {
+                continue;
             }
-            None => return None,
+            let found = side_pool.iter().position(|&d| {
+                let der = graph.derivation(d);
+                der.rule == rule && mode_ok(rule, der.contributors)
+            });
+            match found {
+                Some(i) => {
+                    assignments.insert(occ, side_pool.remove(i));
+                    side_used += 1;
+                }
+                None => return None,
+            }
         }
     }
 
@@ -228,72 +225,79 @@ pub fn match_path_at(
     })
 }
 
-/// Instantiates the template of one cover piece against the chase graph:
-/// every token class is replaced by the constant(s) bound to its variables
-/// in the assigned derivations (Sec. 4.3, "template-wise substitution").
-pub fn instantiate(template: &Template, piece: &PathCover, graph: &ChaseGraph) -> String {
-    let mut out = String::new();
+/// Instantiates the template of one cover piece against the chase graph,
+/// appending the text to `out`: every token class is replaced by the
+/// constant(s) bound to its variables in the assigned derivations
+/// (Sec. 4.3, "template-wise substitution").
+pub fn instantiate(template: &Template, piece: &PathCover, graph: &ChaseGraph, out: &mut String) {
     for seg in &template.segments {
         match seg {
             Segment::Text(t) => out.push_str(t),
             Segment::Token(c) => {
                 let class = &template.classes[*c];
-                match token_values(class, piece, graph) {
-                    Some(values) => out.push_str(&render_values(class, &values)),
-                    None => {
-                        // No binding recorded (foreign graph): keep the
-                        // marker visible rather than inventing text.
-                        out.push('<');
-                        out.push_str(&class.display);
-                        out.push('>');
-                    }
+                if !substitute(class, piece, graph, out) {
+                    // No binding recorded (foreign graph): keep the
+                    // marker visible rather than inventing text.
+                    out.push('<');
+                    out.push_str(&class.display);
+                    out.push('>');
                 }
             }
         }
     }
-    out
 }
 
-/// Collects the values of a token class from the assigned derivations.
-fn token_values(class: &TokenClass, piece: &PathCover, graph: &ChaseGraph) -> Option<Vec<Value>> {
+/// Appends the value(s) of a token class, taken from the first assigned
+/// derivation that binds one of its members; false when none does.
+fn substitute(class: &TokenClass, piece: &PathCover, graph: &ChaseGraph, out: &mut String) -> bool {
     for &(occ, var) in &class.members {
         let Some(&did) = piece.assignments.get(&occ) else {
             continue;
         };
         let der = graph.derivation(did);
         if let Some(v) = der.bindings.get(&var) {
-            return Some(vec![*v]);
+            class.format.render_into(v, out);
+            return true;
         }
         // Entity mentions deduplicate (the same debtor listed once), but
         // numeric contributions repeat (two 6% stakes really are "6% and
-        // 6%", not "6%").
-        let mut vals: Vec<Value> = Vec::new();
-        for cb in &der.contributor_bindings {
-            if let Some(v) = cb.get(&var) {
-                let duplicate_entity = matches!(v, Value::Str(_)) && vals.contains(v);
-                if !duplicate_entity {
-                    vals.push(*v);
-                }
-            }
-        }
-        if !vals.is_empty() {
-            return Some(vals);
+        // 6%", not "6%"). An entity is a duplicate iff an earlier
+        // contributor bound the same one, whose first mention was kept.
+        let contributors = &der.contributor_bindings;
+        let values = contributors.iter().enumerate().filter_map(|(i, cb)| {
+            let v = cb.get(&var)?;
+            let duplicate_entity = matches!(v, Value::Str(_))
+                && contributors[..i].iter().any(|e| e.get(&var) == Some(v));
+            (!duplicate_entity).then_some(v)
+        });
+        if join_into(class.format, values, out) > 0 {
+            return true;
         }
     }
-    None
+    false
 }
 
-fn render_values(class: &TokenClass, values: &[Value]) -> String {
-    let rendered: Vec<String> = values.iter().map(|v| class.format.render(v)).collect();
-    match rendered.len() {
-        0 => String::new(),
-        1 => rendered.into_iter().next().expect("one element"),
-        2 => format!("{} and {}", rendered[0], rendered[1]),
-        _ => {
-            let (last, init) = rendered.split_last().expect("non-empty");
-            format!("{} and {}", init.join(", "), last)
+/// Appends `values` rendered under `format` as an English list — "a",
+/// "a and b", "a, b and c" — and returns how many there were.
+fn join_into<'v>(
+    format: ValueFormat,
+    values: impl Iterator<Item = &'v Value>,
+    out: &mut String,
+) -> usize {
+    let mut count = 0;
+    let mut last_comma = 0;
+    for v in values {
+        if count > 0 {
+            last_comma = out.len();
+            out.push_str(", ");
         }
+        format.render_into(v, out);
+        count += 1;
     }
+    if count > 1 {
+        out.replace_range(last_comma..last_comma + 2, " and ");
+    }
+    count
 }
 
 #[cfg(test)]
@@ -378,7 +382,8 @@ mod tests {
             piece.path_index,
             crate::template::TemplateStyle::Deterministic,
         );
-        let text = instantiate(&template, piece, &out.graph);
+        let mut text = String::new();
+        instantiate(&template, piece, &out.graph, &mut text);
         // The dashed cycle explains Risk(C, 11) from debts 2 and 9.
         assert!(text.contains("11"), "got: {text}");
         assert!(text.contains("2 and 9"), "got: {text}");
@@ -410,21 +415,18 @@ mod tests {
     }
 
     #[test]
-    fn render_values_joins_lists() {
-        let class = TokenClass {
-            display: "v".into(),
-            members: vec![],
-            list: true,
-            format: crate::glossary::ValueFormat::Plain,
+    fn join_into_joins_lists_in_place() {
+        let joined = |values: &[Value]| {
+            let mut out = String::from("debts of ");
+            let count = join_into(ValueFormat::Plain, values.iter(), &mut out);
+            assert_eq!(count, values.len());
+            out
         };
-        assert_eq!(render_values(&class, &[Value::Int(2)]), "2");
+        assert_eq!(joined(&[Value::Int(2)]), "debts of 2");
+        assert_eq!(joined(&[Value::Int(2), Value::Int(9)]), "debts of 2 and 9");
         assert_eq!(
-            render_values(&class, &[Value::Int(2), Value::Int(9)]),
-            "2 and 9"
-        );
-        assert_eq!(
-            render_values(&class, &[Value::Int(1), Value::Int(2), Value::Int(3)]),
-            "1, 2 and 3"
+            joined(&[Value::Int(1), Value::Int(2), Value::Int(3)]),
+            "debts of 1, 2 and 3"
         );
     }
 }

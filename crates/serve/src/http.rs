@@ -50,6 +50,7 @@
 
 use crate::service::{ExplainService, ServeConfig, ServeError};
 use explain::ExplainError;
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -358,25 +359,30 @@ fn read_request(conn: &mut TcpStream, config: &ServeConfig) -> Result<Request, R
 }
 
 /// Writes a full response (with optional extra headers) and closes.
-fn respond(
-    conn: &mut TcpStream,
+/// The head and the body go out in one buffer and one `write_all`, so an
+/// unbuffered socket sends one segment instead of one per header piece.
+fn respond<W: Write>(
+    conn: &mut W,
     status: &str,
     content_type: &str,
     body: &str,
     extra_headers: &[(&str, String)],
 ) -> std::io::Result<()> {
-    let mut headers = String::new();
-    for (name, value) in extra_headers {
-        headers.push_str(name);
-        headers.push_str(": ");
-        headers.push_str(value);
-        headers.push_str("\r\n");
-    }
-    write!(
-        conn,
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{headers}Connection: close\r\n\r\n{body}",
+    let mut response = String::with_capacity(256 + body.len());
+    let _ = write!(
+        response,
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
         body.len()
-    )?;
+    );
+    for (name, value) in extra_headers {
+        response.push_str(name);
+        response.push_str(": ");
+        response.push_str(value);
+        response.push_str("\r\n");
+    }
+    response.push_str("Connection: close\r\n\r\n");
+    response.push_str(body);
+    conn.write_all(response.as_bytes())?;
     conn.flush()
 }
 
@@ -753,6 +759,61 @@ fn parse_goals(body: &str) -> Result<Vec<vadalog::Fact>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Records every `write` call and the bytes it carried.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn responses_go_out_in_one_write() {
+        let mut ok = CountingWriter::default();
+        respond(
+            &mut ok,
+            "200 OK",
+            "application/json",
+            "{\"status\":\"ok\"}",
+            &[("x-vadalog-trace-id", "t-1".to_owned())],
+        )
+        .unwrap();
+        assert_eq!(ok.writes, 1);
+        assert_eq!(
+            String::from_utf8(ok.bytes).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 15\r\n\
+             x-vadalog-trace-id: t-1\r\nConnection: close\r\n\r\n{\"status\":\"ok\"}"
+        );
+
+        let mut shed = CountingWriter::default();
+        respond(
+            &mut shed,
+            "503 Service Unavailable",
+            "application/json",
+            &error_body("connection pool saturated; retry later"),
+            &[("Retry-After", retry_after_secs(Duration::from_millis(1500)))],
+        )
+        .unwrap();
+        assert_eq!(shed.writes, 1);
+        assert_eq!(
+            String::from_utf8(shed.bytes).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: 50\r\nRetry-After: 1\r\nConnection: close\r\n\r\n\
+             {\"error\":\"connection pool saturated; retry later\"}"
+        );
+    }
 
     #[test]
     fn goal_bodies_parse_and_reject_rules() {

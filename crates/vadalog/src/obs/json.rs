@@ -143,20 +143,32 @@ impl JsonWriter {
 
 /// Appends `s` to `out` with JSON string escaping (without the
 /// surrounding quotes). The one escaping routine every exporter shares.
+///
+/// Runs of bytes that need no escape are copied whole. Every byte that
+/// does is ASCII, so each run ends on a UTF-8 character boundary.
 pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
 }
 
 /// A parsed JSON value (numbers are `f64`, object keys keep insertion
@@ -447,6 +459,64 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The char-by-char escape the run-copying [`escape_into`] must
+    /// reproduce byte for byte.
+    fn escape_reference(out: &mut String, s: &str) {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+    }
+
+    /// One character of a class the escape treats differently: the five
+    /// named escapes, other control bytes, printable ASCII, and two-,
+    /// three- and four-byte UTF-8.
+    fn escape_char(class: u32, pick: u32) -> char {
+        let from = |lo: u32, span: u32| {
+            char::from_u32(lo + pick % span).expect("no range reaches a surrogate")
+        };
+        match class {
+            0 => '"',
+            1 => '\\',
+            2 => '\n',
+            3 => '\r',
+            4 => '\t',
+            5 => from(0, 0x20),
+            6 => from(0x20, 0x60),
+            7 => from(0x80, 0x780),
+            8 => from(0xe000, 0x2000),
+            _ => from(0x1_0000, 0x10_0000),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn escape_matches_the_char_by_char_reference_and_round_trips(
+            picks in prop::collection::vec((0u32..10, any::<u32>()), 0..48),
+        ) {
+            let text: String = picks.iter().map(|&(class, pick)| escape_char(class, pick)).collect();
+            let mut fast = String::from("prefix");
+            escape_into(&mut fast, &text);
+            let mut reference = String::from("prefix");
+            escape_reference(&mut reference, &text);
+            prop_assert_eq!(&fast, &reference);
+            let quoted = format!("\"{}\"", &fast["prefix".len()..]);
+            prop_assert_eq!(parse(&quoted), Ok(JsonValue::Str(text)));
+        }
+    }
 
     #[test]
     fn writer_output_parses_back() {

@@ -222,8 +222,8 @@ impl ChaseGraph {
                 children: Vec::new(),
             },
             Some(did) => {
-                let der = self.derivation(did).clone();
-                let children = der
+                let children = self
+                    .derivation(did)
                     .premises
                     .iter()
                     .map(|&p| self.proof_rec(p, policy, on_path))
@@ -320,18 +320,24 @@ impl ProofTree {
         spine
     }
 
-    fn linearize_into(&self, graph: &ChaseGraph, out: &mut Vec<ChaseStep>) {
+    /// Appends this subtree's spine to `out` and returns its length,
+    /// which is the subtree's [`depth`](Self::depth). Each derived child
+    /// appends its own spine in turn; only the deepest is kept, the last
+    /// one on a tie, so every depth is computed once.
+    fn linearize_into(&self, graph: &ChaseGraph, out: &mut Vec<ChaseStep>) -> usize {
         let Some(did) = self.step else {
-            return;
+            return 0;
         };
-        // Deepest derived child carries the spine.
-        if let Some(deepest) = self
-            .children
-            .iter()
-            .filter(|c| c.step.is_some())
-            .max_by_key(|c| c.depth())
-        {
-            deepest.linearize_into(graph, out);
+        let start = out.len();
+        let mut kept = 0;
+        for child in self.children.iter().filter(|c| c.step.is_some()) {
+            let len = child.linearize_into(graph, out);
+            if len >= kept {
+                out.drain(start..start + kept);
+                kept = len;
+            } else {
+                out.truncate(start + kept);
+            }
         }
         let der = graph.derivation(did);
         out.push(ChaseStep {
@@ -339,6 +345,7 @@ impl ProofTree {
             derivation: did,
             contributors: der.contributors,
         });
+        kept + 1
     }
 }
 
@@ -403,6 +410,30 @@ mod tests {
         let tau: Vec<usize> = proof.linearize(&g).iter().map(|s| s.rule.0).collect();
         // τ = {α, β, γ, β, γ} with α=0, β=1, γ=2.
         assert_eq!(tau, vec![0, 1, 2, 1, 2]);
+    }
+
+    #[test]
+    fn linearization_follows_the_deepest_child_and_the_last_on_a_tie() {
+        let mut g = ChaseGraph::new();
+        for i in 0..3 {
+            g.mark_extensional(FactId(i));
+        }
+        // 3 <- r0(0); 4 <- r1(1); 5 <- r2(3): fact 5 is one step deeper.
+        let d3 = g.record(der(0, &[0], 3, 1, 1));
+        let d4 = g.record(der(1, &[1], 4, 1, 1));
+        let d5 = g.record(der(2, &[3], 5, 2, 1));
+        // 6 <- r3(3, 4): a tie at depth 1, so the later premise 4 wins.
+        let d6 = g.record(der(3, &[3, 2, 4], 6, 2, 1));
+        // 7 <- r4(5, 4, 3): the deeper premise 5 wins over later ties.
+        let d7 = g.record(der(4, &[5, 4, 3], 7, 3, 1));
+        let spine = |fact: u32| -> Vec<DerivationId> {
+            let proof = g.proof(FactId(fact), DerivationPolicy::Richest);
+            let steps = proof.linearize(&g);
+            assert_eq!(steps.len(), proof.depth());
+            steps.iter().map(|s| s.derivation).collect()
+        };
+        assert_eq!(spine(6), vec![d4, d6]);
+        assert_eq!(spine(7), vec![d3, d5, d7]);
     }
 
     #[test]
