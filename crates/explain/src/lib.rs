@@ -61,5 +61,7 @@ pub use review::{export as export_templates, import as import_templates, ReviewR
 pub use structural::{
     analyze, analyze_with, AnalysisConfig, PathKind, ReasoningPath, StructuralAnalysis, Supply,
 };
-pub use template::{generate, single_rule_path, Segment, Template, TemplateStyle, TokenClass};
+pub use template::{
+    generate, single_rule_path, Segment, Template, TemplateStyle, TokenClass, TokenMember,
+};
 pub use whynot::{why_not, FailureReason, RuleFailure, WhyNot};

@@ -248,26 +248,30 @@ pub fn instantiate(template: &Template, piece: &PathCover, graph: &ChaseGraph, o
 }
 
 /// Appends the value(s) of a token class, taken from the first assigned
-/// derivation that binds one of its members; false when none does.
+/// derivation that binds one of its members; false when none does. Each
+/// member reads the slots resolved for it when the template was built.
 fn substitute(class: &TokenClass, piece: &PathCover, graph: &ChaseGraph, out: &mut String) -> bool {
-    for &(occ, var) in &class.members {
-        let Some(&did) = piece.assignments.get(&occ) else {
+    for m in &class.members {
+        let Some(&did) = piece.assignments.get(&m.occ) else {
             continue;
         };
         let der = graph.derivation(did);
-        if let Some(v) = der.bindings.get(&var) {
+        if let Some(v) = m.head.and_then(|slot| der.bindings.at(slot)) {
             class.format.render_into(v, out);
             return true;
         }
+        let Some(slot) = m.contributor else {
+            continue;
+        };
         // Entity mentions deduplicate (the same debtor listed once), but
         // numeric contributions repeat (two 6% stakes really are "6% and
         // 6%", not "6%"). An entity is a duplicate iff an earlier
         // contributor bound the same one, whose first mention was kept.
         let contributors = &der.contributor_bindings;
-        let values = contributors.iter().enumerate().filter_map(|(i, cb)| {
-            let v = cb.get(&var)?;
-            let duplicate_entity = matches!(v, Value::Str(_))
-                && contributors[..i].iter().any(|e| e.get(&var) == Some(v));
+        let values = (0..contributors.len()).filter_map(|i| {
+            let v = contributors.at(i, slot)?;
+            let duplicate_entity =
+                matches!(v, Value::Str(_)) && (0..i).any(|e| contributors.at(e, slot) == Some(v));
             (!duplicate_entity).then_some(v)
         });
         if join_into(class.format, values, out) > 0 {

@@ -21,7 +21,7 @@ use crate::glossary::{DomainGlossary, ValueFormat};
 use crate::structural::{ReasoningPath, Supply};
 use crate::verbalizer::{agg_words, atom_segments, condition_segments, expr_segments, RawSeg};
 use std::collections::{HashMap, HashSet};
-use vadalog::{Program, Symbol};
+use vadalog::{Program, RuleLayout, Slot, Symbol};
 
 /// Template generation style.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -39,12 +39,29 @@ pub struct TokenClass {
     /// Unique display name within the template (shown as `<display>`).
     pub display: String,
     /// The member (occurrence, variable) pairs.
-    pub members: Vec<(usize, Symbol)>,
+    pub members: Vec<TokenMember>,
     /// True iff the token expands to a list of contributor values
     /// (variables of a dashed aggregation that vary per contributor).
     pub list: bool,
     /// How constants bound to this token are rendered.
     pub format: ValueFormat,
+}
+
+/// One (rule occurrence, variable) member of a token class, with the
+/// slots its value occupies in the rows of the occurrence's derivations,
+/// resolved against the rule's [`RuleLayout`] when the template is
+/// generated.
+#[derive(Clone, Copy, Debug)]
+pub struct TokenMember {
+    /// The rule occurrence in the path.
+    pub occ: usize,
+    /// The variable of that occurrence.
+    pub var: Symbol,
+    /// The variable's slot in the derivation's head row, if it has one.
+    pub head: Option<Slot>,
+    /// Its slot in the contributor rows of an aggregate step, if the
+    /// rule aggregates and a match binds it.
+    pub contributor: Option<Slot>,
 }
 
 /// A piece of template text.
@@ -247,7 +264,7 @@ impl Generator<'_> {
         let class_of: HashMap<(usize, Symbol), usize> = classes
             .iter()
             .enumerate()
-            .flat_map(|(i, c)| c.members.iter().map(move |&m| (m, i)))
+            .flat_map(|(i, c)| c.members.iter().map(move |m| ((m.occ, m.var), i)))
             .collect();
 
         let occ_pieces: Vec<OccPieces> = (0..self.path.rules.len())
@@ -618,7 +635,11 @@ impl Generator<'_> {
             }
         }
 
-        // Build classes in order of first member.
+        // Build classes in order of first member, each member resolved to
+        // its slots in the rows of its occurrence's rule.
+        let layouts: Vec<RuleLayout> = (0..self.path.rules.len())
+            .map(|occ| RuleLayout::of(self.rule(occ)))
+            .collect();
         let mut class_of_root: HashMap<usize, usize> = HashMap::new();
         let mut classes: Vec<TokenClass> = Vec::new();
         let mut used_names: HashMap<String, usize> = HashMap::new();
@@ -641,17 +662,24 @@ impl Generator<'_> {
                 });
                 classes.len() - 1
             });
-            classes[class_idx].members.push(pairs[i]);
+            let (occ, var) = pairs[i];
+            let layout = &layouts[occ];
+            classes[class_idx].members.push(TokenMember {
+                occ,
+                var,
+                head: layout.head().slot(var),
+                contributor: layout.step.and_then(|_| layout.matched.slot(var)),
+            });
         }
 
         // List flags and formats.
         for class in &mut classes {
-            for &(occ, v) in &class.members {
-                if self.list_vars(occ).contains(&v) {
+            for m in &class.members {
+                if self.list_vars(m.occ).contains(&m.var) {
                     class.list = true;
                 }
                 if class.format == ValueFormat::Plain {
-                    class.format = self.var_format(occ, v);
+                    class.format = self.var_format(m.occ, m.var);
                 }
             }
         }
@@ -755,9 +783,9 @@ mod tests {
         let f_class = t
             .classes
             .iter()
-            .find(|c| c.members.iter().any(|(_, v)| v.as_str() == "f"))
+            .find(|c| c.members.iter().any(|m| m.var.as_str() == "f"))
             .unwrap();
-        assert!(f_class.members.iter().any(|(_, v)| v.as_str() == "d"));
+        assert!(f_class.members.iter().any(|m| m.var.as_str() == "d"));
         // beta's (c,e) unify with gamma's (c,e) through risk.
         let c_class = t
             .classes
@@ -765,13 +793,13 @@ mod tests {
             .find(|c| {
                 c.members
                     .iter()
-                    .any(|(occ, v)| *occ == 1 && v.as_str() == "c")
+                    .any(|m| m.occ == 1 && m.var.as_str() == "c")
             })
             .unwrap();
         assert!(c_class
             .members
             .iter()
-            .any(|(occ, v)| *occ == 2 && v.as_str() == "c"));
+            .any(|m| m.occ == 2 && m.var.as_str() == "c"));
     }
 
     #[test]
@@ -812,18 +840,18 @@ mod tests {
             .find(|c| {
                 c.members
                     .iter()
-                    .any(|(occ, v)| *occ == 1 && v.as_str() == "d")
+                    .any(|m| m.occ == 1 && m.var.as_str() == "d")
             })
             .unwrap();
         assert!(d_class.list);
-        assert!(!d_class.members.iter().any(|(_, v)| v.as_str() == "f"));
+        assert!(!d_class.members.iter().any(|m| m.var.as_str() == "f"));
         let v_class = t
             .classes
             .iter()
             .find(|c| {
                 c.members
                     .iter()
-                    .any(|(occ, v)| *occ == 1 && v.as_str() == "v")
+                    .any(|m| m.occ == 1 && m.var.as_str() == "v")
             })
             .unwrap();
         assert!(v_class.list);
@@ -834,7 +862,7 @@ mod tests {
             .find(|c| {
                 c.members
                     .iter()
-                    .any(|(occ, v)| *occ == 1 && v.as_str() == "c")
+                    .any(|m| m.occ == 1 && m.var.as_str() == "c")
             })
             .unwrap();
         assert!(!c_class.list);

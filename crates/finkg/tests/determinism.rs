@@ -8,8 +8,8 @@ use finkg::apps::{close_links, control, golden_power, simple_stress, stress};
 use finkg::scenario;
 use std::sync::Arc;
 use vadalog::{
-    Bindings, Budget, CancelToken, ChaseConfig, ChaseError, ChaseOutcome, ChaseSession, Database,
-    MetricsRegistry, Program, RunGuard,
+    Budget, CancelToken, ChaseConfig, ChaseError, ChaseOutcome, ChaseSession, Database,
+    MetricsRegistry, Program, RowRef, RunGuard,
 };
 
 const THREAD_SWEEP: [usize; 2] = [2, 8];
@@ -22,7 +22,7 @@ const THREAD_SWEEP: [usize; 2] = [2, 8];
 /// (proofs, explanations, benches).
 fn fingerprint(out: &ChaseOutcome) -> String {
     use std::fmt::Write;
-    let sorted = |b: &Bindings| {
+    let sorted = |b: RowRef<'_>| {
         let mut pairs: Vec<String> = b.iter().map(|(k, v)| format!("{k}={v}")).collect();
         pairs.sort();
         pairs.join(",")
@@ -40,7 +40,7 @@ fn fingerprint(out: &ChaseOutcome) -> String {
             d.conclusion,
             d.round,
             d.contributors,
-            sorted(&d.bindings),
+            sorted(d.bindings.view()),
         );
         for c in &d.contributor_bindings {
             let _ = write!(s, " <{}>", sorted(c));

@@ -20,8 +20,9 @@ fn tmp(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// Bindings rendered with sorted keys, for order-insensitive comparison.
-fn render_bindings(b: &Bindings) -> String {
+/// A binding row rendered with sorted keys, every (variable, value) pair
+/// included.
+fn render_bindings(b: &Row) -> String {
     let mut entries: Vec<(String, String)> = b
         .iter()
         .map(|(k, v)| (format!("{k}"), format!("{v:?}")))

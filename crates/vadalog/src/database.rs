@@ -4,6 +4,7 @@
 use crate::atom::Fact;
 use crate::symbol::Symbol;
 use crate::value::Value;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Identifier of a fact inside a [`Database`]. Ids are dense and stable:
@@ -33,11 +34,72 @@ impl CompositeIndex {
     /// The index key of `fact`, or `None` if the fact is too short to
     /// carry values at all indexed positions.
     fn key_of(&self, fact: &Fact) -> Option<Vec<Value>> {
-        self.positions
-            .iter()
-            .map(|&p| fact.values.get(p).copied())
-            .collect()
+        let mut key = Vec::with_capacity(self.positions.len());
+        for &p in &self.positions {
+            key.push(*fact.values.get(p)?);
+        }
+        Some(key)
     }
+
+    /// Posts `id` under `key` and returns the heap bytes the posting
+    /// adds: a new key's table slot, key and posting list, or the growth
+    /// of an existing list.
+    fn post(&mut self, key: Vec<Value>, id: FactId) -> usize {
+        let keys = self.map.len();
+        match self.map.entry(key) {
+            Entry::Occupied(mut e) => {
+                let postings = e.get_mut();
+                postings.push(id);
+                vec_growth::<FactId>(postings.len() - 1)
+            }
+            Entry::Vacant(e) => {
+                let key_bytes = e.key().len() * std::mem::size_of::<Value>();
+                e.insert(vec![id]);
+                table_growth::<(Vec<Value>, Vec<FactId>)>(keys)
+                    + key_bytes
+                    + std::mem::size_of::<FactId>()
+            }
+        }
+    }
+}
+
+/// Heap bytes a vector of `T` requests once `len` elements were pushed
+/// one by one: its capacity doubles from four elements up.
+pub(crate) fn vec_bytes<T>(len: usize) -> usize {
+    if len == 0 {
+        0
+    } else {
+        len.next_power_of_two().max(4) * std::mem::size_of::<T>()
+    }
+}
+
+/// Heap bytes a `HashMap`/`HashSet` with entries of type `T` requests
+/// once `len` entries were inserted one by one: a power-of-two number of
+/// buckets kept at most 7/8 full (at most `buckets - 1` below eight),
+/// each holding one entry and one control byte, plus one group of
+/// trailing control bytes.
+pub(crate) fn table_bytes<T>(len: usize) -> usize {
+    if len == 0 {
+        return 0;
+    }
+    let buckets = if len < 4 {
+        4
+    } else if len < 8 {
+        8
+    } else {
+        (len * 8 / 7).next_power_of_two()
+    };
+    buckets * (std::mem::size_of::<T>() + 1) + 16
+}
+
+/// The bytes a vector of `T` holding `len` elements grows by on a push.
+pub(crate) fn vec_growth<T>(len: usize) -> usize {
+    vec_bytes::<T>(len + 1) - vec_bytes::<T>(len)
+}
+
+/// The bytes a table of `T` holding `len` entries grows by on an insert.
+pub(crate) fn table_growth<T>(len: usize) -> usize {
+    table_bytes::<T>(len + 1) - table_bytes::<T>(len)
 }
 
 /// A deduplicated store of facts.
@@ -66,7 +128,9 @@ pub struct Database {
     /// predicate is O(1) to read (the engine sizes match chunks from it).
     inactive_by_pred: HashMap<Symbol, usize>,
     /// Running approximation of the store's heap footprint, maintained in
-    /// O(1) per insert so the engine's memory budget can poll it cheaply.
+    /// O(1) per insert so the engine's memory budget can poll it cheaply:
+    /// the bytes the store's vectors and hash tables request, counted
+    /// with their growth policy (see [`Database::approx_bytes`]).
     approx_bytes: usize,
     /// Posting bytes recorded by a checkpoint but not yet rebuilt locally:
     /// eager index builds after a restore consume this credit instead of
@@ -91,27 +155,30 @@ impl Database {
             return (id, false);
         }
         let id = FactId(u32::try_from(self.facts.len()).expect("fact id overflow"));
-        self.by_predicate
-            .entry(fact.predicate)
-            .or_default()
-            .push(id);
+        let predicates = self.by_predicate.len();
+        let ids = self.by_predicate.entry(fact.predicate).or_default();
+        ids.push(id);
+        let mut bytes = vec_growth::<FactId>(ids.len() - 1);
+        if self.by_predicate.len() > predicates {
+            bytes += table_growth::<(Symbol, Vec<FactId>)>(predicates);
+        }
         // Maintain the existing indexes of this predicate — and only this
         // predicate; indexes of unrelated predicates are never visited.
         if let Some(indexes) = self.indexes.get_mut(&fact.predicate) {
             for index in indexes.iter_mut() {
                 if let Some(key) = index.key_of(&fact) {
-                    index.map.entry(key).or_default().push(id);
+                    bytes += index.post(key, id);
                     self.postings_built += 1;
-                    self.approx_bytes += std::mem::size_of::<FactId>();
                 }
             }
         }
-        // Stored fact + dedup key copy + the per-predicate id slot. An
-        // estimate (hash-table overhead is ignored), but deterministic:
-        // it depends only on the insertion sequence, never on threads.
-        let value_bytes = fact.values.len() * std::mem::size_of::<Value>();
-        self.approx_bytes +=
-            2 * (std::mem::size_of::<Fact>() + value_bytes) + std::mem::size_of::<FactId>() * 2;
+        // The stored fact, its dedup slot with the key's copy of the
+        // values, and the id slots above. Deterministic: it depends only
+        // on the insertion sequence, never on threads.
+        self.approx_bytes += bytes
+            + vec_growth::<Fact>(self.facts.len())
+            + table_growth::<(Fact, FactId)>(self.dedup.len())
+            + 2 * fact.values.len() * std::mem::size_of::<Value>();
         self.dedup.insert(fact.clone(), id);
         self.facts.push(fact);
         (id, true)
@@ -131,7 +198,8 @@ impl Database {
     /// interleaved working store into the canonical replayed one.
     /// Composite indexes, activity marks and index accounting start
     /// fresh (the permuted store is a new insertion sequence); the byte
-    /// estimate is recomputed with the per-insert formula.
+    /// estimate is the one inserting the live facts in their new order
+    /// would have reached.
     ///
     /// Every live (dedup-claimed) fact must be mapped, and `map` must be
     /// injective over live ids with targets covering `0..live` — the
@@ -164,13 +232,16 @@ impl Database {
             // Postings are in insertion (= ascending id) order.
             ids.sort_unstable();
         }
-        let approx_bytes = facts
-            .iter()
-            .map(|f| {
-                let value_bytes = f.values.len() * std::mem::size_of::<Value>();
-                2 * (std::mem::size_of::<Fact>() + value_bytes) + std::mem::size_of::<FactId>() * 2
-            })
-            .sum();
+        let value_bytes: usize =
+            facts.iter().map(|f| f.values.len()).sum::<usize>() * std::mem::size_of::<Value>();
+        let approx_bytes = vec_bytes::<Fact>(facts.len())
+            + table_bytes::<(Fact, FactId)>(facts.len())
+            + 2 * value_bytes
+            + table_bytes::<(Symbol, Vec<FactId>)>(by_predicate.len())
+            + by_predicate
+                .values()
+                .map(|ids| vec_bytes::<FactId>(ids.len()))
+                .sum::<usize>();
         Database {
             facts,
             dedup,
@@ -260,10 +331,10 @@ impl Database {
     /// cold index is never built while the store is shared read-only
     /// across worker threads.
     ///
-    /// Eagerly-built postings are charged to [`Database::approx_bytes`]
-    /// exactly like incrementally-maintained ones, so the footprint
-    /// estimate does not depend on whether an index was created before or
-    /// after its facts were inserted.
+    /// An eagerly-built index is charged to [`Database::approx_bytes`]
+    /// posting by posting, exactly like an incrementally-maintained one,
+    /// so the footprint estimate does not depend on whether an index was
+    /// created before or after its facts were inserted.
     pub fn ensure_composite_index(&mut self, predicate: Symbol, positions: &[usize]) {
         debug_assert!(
             positions.windows(2).all(|w| w[0] < w[1]) && !positions.is_empty(),
@@ -276,20 +347,20 @@ impl Database {
             positions: positions.to_vec(),
             map: HashMap::new(),
         };
-        let mut postings = 0usize;
+        let mut postings = 0u64;
+        let mut bytes = 0usize;
         if let Some(ids) = self.by_predicate.get(&predicate) {
             for &id in ids {
                 if let Some(key) = index.key_of(&self.facts[id.0 as usize]) {
-                    index.map.entry(key).or_default().push(id);
+                    bytes += index.post(key, id);
                     postings += 1;
                 }
             }
         }
-        self.postings_built += postings as u64;
-        // Charge the new posting lists, first consuming any credit left by
-        // a checkpoint restore (whose recorded estimate already includes
-        // the postings of the captured run's indexes).
-        let bytes = postings * std::mem::size_of::<FactId>();
+        self.postings_built += postings;
+        // Charge the new index, first consuming any credit left by a
+        // checkpoint restore (whose recorded estimate already includes the
+        // indexes of the captured run).
         let credited = bytes.min(self.index_byte_credit);
         self.index_byte_credit -= credited;
         self.approx_bytes += bytes - credited;
@@ -347,7 +418,9 @@ impl Database {
     /// Marks a fact as superseded: it stays in the store (ids and
     /// provenance remain valid) but no longer participates in matching.
     pub fn deactivate(&mut self, id: FactId) {
+        let inactive = self.inactive.len();
         if self.inactive.insert(id) {
+            self.approx_bytes += table_growth::<FactId>(inactive);
             let pred = self.facts[id.0 as usize].predicate;
             *self.inactive_by_pred.entry(pred).or_default() += 1;
         }
@@ -365,6 +438,8 @@ impl Database {
     /// index of its predicate — postings are maintained in place, never
     /// rebuilt. Used by the incremental-maintenance engine
     /// ([`ChaseSession::apply_delta`](crate::engine::ChaseSession::apply_delta)).
+    /// The byte estimate stays as it is: tables and posting lists keep
+    /// the capacity they grew to.
     pub fn retract(&mut self, id: FactId) {
         let fact = &self.facts[id.0 as usize];
         let pred = fact.predicate;
@@ -374,7 +449,6 @@ impl Database {
         if self.dedup.get(fact) == Some(&id) {
             self.dedup.remove(fact);
         }
-        let mut freed = 0usize;
         if let Some(indexes) = self.indexes.get_mut(&pred) {
             let fact = &self.facts[id.0 as usize];
             for index in indexes.iter_mut() {
@@ -382,18 +456,13 @@ impl Database {
                     continue;
                 };
                 if let Some(list) = index.map.get_mut(&key) {
-                    let before = list.len();
                     list.retain(|&fid| fid != id);
-                    freed += before - list.len();
                     if list.is_empty() {
                         index.map.remove(&key);
                     }
                 }
             }
         }
-        self.approx_bytes = self
-            .approx_bytes
-            .saturating_sub(freed * std::mem::size_of::<FactId>());
         self.deactivate(id);
     }
 
@@ -407,8 +476,12 @@ impl Database {
         self.inactive.len()
     }
 
-    /// Approximate heap footprint of the stored facts and their index
-    /// slots, in bytes. Maintained in O(1) per insert; a deterministic
+    /// Approximate heap footprint of the store, in bytes: what its fact
+    /// vector, the facts' values, the dedup table, the per-predicate id
+    /// lists, the composite indexes (table slots, keys, posting lists)
+    /// and the inactive set request from the allocator, with vectors
+    /// doubling from four elements and hash tables growing by powers of
+    /// two at 7/8 load. Maintained in O(1) per insert; a deterministic
     /// function of the insertion sequence (the engine's memory budget
     /// relies on this to trip identically at any thread count).
     pub fn approx_bytes(&self) -> usize {

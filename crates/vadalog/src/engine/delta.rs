@@ -54,14 +54,12 @@ use super::{
 use crate::atom::{Atom, Fact};
 use crate::database::{Database, FactId};
 use crate::error::{ChaseError, DeltaError};
-use crate::expr::Bindings;
 use crate::program::Program;
 use crate::provenance::{ChaseGraph, Derivation, DerivationId};
-use crate::rule::{Head, Rule, RuleId};
+use crate::row::{Row, Rows};
+use crate::rule::{Rule, RuleId};
 use crate::symbol::Symbol;
 use crate::telemetry::{RoundStats, RuleStats, RunReport, Termination};
-use crate::term::Term;
-use crate::value::Value;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
@@ -502,38 +500,24 @@ impl Teardown<'_> {
 }
 
 /// True iff any negated atom of `negs` matches a live fact under the
-/// recorded `bindings` — the same check [`finish_match`] applies, with
+/// recorded match `row` — the same check `finish_match` applies, with
 /// unbound variables as wildcards.
-fn negation_blocked(db: &Database, negs: &[&Atom], bindings: &Bindings) -> bool {
-    negs.iter().any(|atom| {
-        let pattern: Vec<Option<Value>> = atom
-            .terms
-            .iter()
-            .map(|t| match t {
-                Term::Const(v) => Some(*v),
-                Term::Var(name) => bindings.get(name).copied(),
-            })
-            .collect();
+fn negation_blocked(db: &Database, plan: &JoinPlan, negs: &[&Atom], row: &Row) -> bool {
+    negs.iter().enumerate().any(|(k, atom)| {
+        let pattern = plan.negated_pattern(k, row.values());
         db.find_matching(atom.predicate, &pattern).is_some()
     })
 }
 
-/// Instantiates a rule head under `bindings`. Only called for
+/// Instantiates a rule head under the match `row`. Only called for
 /// existential-free rules, whose head variables are always bound.
-fn head_fact(rule: &Rule, bindings: &Bindings) -> Fact {
-    let Head::Atom(head) = &rule.head else {
-        unreachable!("constraints never fire");
-    };
-    let values: Vec<Value> = head
-        .terms
-        .iter()
-        .map(|t| match t {
-            Term::Const(v) => *v,
-            Term::Var(name) => *bindings
-                .get(name)
-                .expect("existential-free head variable is body-bound"),
+fn head_fact(rule: &Rule, plan: &JoinPlan, row: &Row) -> Fact {
+    let head = rule.head.atom().expect("constraints never fire");
+    let values = plan
+        .head_values(rule, row.values(), |_| {
+            unreachable!("existential-free heads invent no nulls")
         })
-        .collect();
+        .expect("existential-free head variable is body-bound");
     Fact {
         predicate: head.predicate,
         values,
@@ -546,7 +530,7 @@ struct LiveDer<'a> {
     rule: usize,
     premises: &'a [FactId],
     conclusion: FactId,
-    bindings: &'a Bindings,
+    bindings: &'a Row,
 }
 
 /// Incremental maintenance: mutates a working copy of the live store
@@ -643,7 +627,7 @@ fn maintain(
                     continue;
                 }
                 let der = &graph.derivations()[d];
-                if negation_blocked(&db, &negs, &der.bindings) {
+                if negation_blocked(&db, &plans[idx], &negs, &der.bindings) {
                     teardown.dead[d] = true;
                     let conclusion = der.conclusion;
                     if !extensional.contains(&conclusion) {
@@ -672,7 +656,7 @@ fn maintain(
                 if der.premises.iter().any(|p| teardown.deleted.contains(p)) {
                     continue;
                 }
-                if !negs.is_empty() && negation_blocked(&db, &negs, &der.bindings) {
+                if !negs.is_empty() && negation_blocked(&db, &plans[idx], &negs, &der.bindings) {
                     continue;
                 }
                 let value = db.fact(der.conclusion).clone();
@@ -694,7 +678,7 @@ fn maintain(
                         round: 0, // replay assigns canonical rounds
                         contributors: 1,
                         bindings: der.bindings.clone(),
-                        contributor_bindings: Vec::new(),
+                        contributor_bindings: Rows::empty(),
                     });
                 }
             }
@@ -736,7 +720,7 @@ fn maintain(
                 matches.sort_by(|a, b| a.premises.cmp(&b.premises));
                 matches.dedup_by(|a, b| a.premises == b.premises);
                 for m in matches {
-                    let (id, fresh) = db.insert(head_fact(rule, &m.bindings));
+                    let (id, fresh) = db.insert(head_fact(rule, &plans[idx], &m.bindings));
                     if fresh {
                         changed = true;
                         grew.insert(db.fact(id).predicate);
@@ -772,7 +756,7 @@ fn maintain(
                             round: 0,
                             contributors: 1,
                             bindings: m.bindings,
-                            contributor_bindings: Vec::new(),
+                            contributor_bindings: Rows::empty(),
                         });
                     }
                 }
@@ -1025,7 +1009,7 @@ fn replay(
                 round: key.0,
                 contributors: 1,
                 bindings: der.bindings.clone(),
-                contributor_bindings: Vec::new(),
+                contributor_bindings: Rows::empty(),
             });
         }
         i = j;
@@ -1120,6 +1104,7 @@ fn replay(
 mod tests {
     use super::*;
     use crate::parser::parse_program;
+    use crate::value::Value;
 
     /// Runs `src` from scratch, returning the program is impossible here
     /// (the session borrows it), so callers parse themselves; this just
@@ -1137,9 +1122,9 @@ mod tests {
         (session, live)
     }
 
-    /// Bindings rendered with sorted keys, for order-insensitive
-    /// comparison.
-    fn render_bindings(b: &Bindings) -> String {
+    /// A binding row rendered with sorted keys, every (variable, value)
+    /// pair included.
+    fn render_bindings(b: &Row) -> String {
         let mut entries: Vec<(String, String)> = b
             .iter()
             .map(|(k, v)| (format!("{k}"), format!("{v:?}")))

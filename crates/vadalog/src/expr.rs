@@ -106,9 +106,23 @@ pub enum Expr {
     },
 }
 
-/// A substitution from variables to ground values, shared by matching and
-/// expression evaluation.
+/// A substitution from variables to ground values, built by ad-hoc
+/// queries ([`crate::query::select`]) and explanations of absences. The
+/// engine binds variables positionally instead (see [`crate::row`]).
 pub type Bindings = HashMap<Symbol, Value>;
+
+/// Where expression evaluation reads variables: a substitution map or a
+/// binding [`Row`](crate::row::Row).
+pub trait Env {
+    /// The value bound to `var`, if any.
+    fn lookup(&self, var: Symbol) -> Option<Value>;
+}
+
+impl Env for Bindings {
+    fn lookup(&self, var: Symbol) -> Option<Value> {
+        self.get(&var).copied()
+    }
+}
 
 impl Expr {
     /// A variable leaf.
@@ -130,21 +144,18 @@ impl Expr {
         }
     }
 
-    /// Evaluates the expression under `bindings`.
+    /// Evaluates the expression under `env`.
     ///
     /// Arithmetic requires numeric operands; `Int op Int` stays integral
     /// except for division, which always produces a float (the behaviour
     /// business users expect from share arithmetic).
-    pub fn eval(&self, bindings: &Bindings) -> Result<Value, EvalError> {
+    pub fn eval<E: Env + ?Sized>(&self, env: &E) -> Result<Value, EvalError> {
         match self {
             Expr::Const(v) => Ok(*v),
-            Expr::Var(name) => bindings
-                .get(name)
-                .copied()
-                .ok_or(EvalError::UnboundVariable(*name)),
+            Expr::Var(name) => env.lookup(*name).ok_or(EvalError::UnboundVariable(*name)),
             Expr::Binary { op, left, right } => {
-                let l = left.eval(bindings)?;
-                let r = right.eval(bindings)?;
+                let l = left.eval(env)?;
+                let r = right.eval(env)?;
                 apply_arith(*op, l, r)
             }
         }
@@ -229,10 +240,10 @@ impl Condition {
         Condition { left, op, right }
     }
 
-    /// Evaluates the condition under `bindings`.
-    pub fn holds(&self, bindings: &Bindings) -> Result<bool, EvalError> {
-        let l = self.left.eval(bindings)?;
-        let r = self.right.eval(bindings)?;
+    /// Evaluates the condition under `env`.
+    pub fn holds<E: Env + ?Sized>(&self, env: &E) -> Result<bool, EvalError> {
+        let l = self.left.eval(env)?;
+        let r = self.right.eval(env)?;
         Ok(self.op.apply(&l, &r))
     }
 

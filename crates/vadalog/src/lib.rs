@@ -76,6 +76,7 @@ pub mod parser;
 pub mod program;
 pub mod provenance;
 pub mod query;
+pub mod row;
 pub mod rule;
 pub mod stratify;
 pub mod symbol;
@@ -93,7 +94,7 @@ pub mod prelude {
         ChaseConfig, ChaseOutcome, ChaseSession, Delta, DeltaOutcome, DeltaStrategy,
     };
     pub use crate::error::{ChaseError, DeltaError, EvalError, ParseError, ProgramError};
-    pub use crate::expr::{ArithOp, Assignment, Bindings, CmpOp, Condition, Expr};
+    pub use crate::expr::{ArithOp, Assignment, Bindings, CmpOp, Condition, Env, Expr};
     pub use crate::obs::metrics::MetricsRegistry;
     pub use crate::obs::span::{RingCollector, SpanRecord, SpanSink};
     pub use crate::parser::{parse_program, ParsedProgram};
@@ -101,7 +102,10 @@ pub mod prelude {
     pub use crate::provenance::{
         ChaseGraph, ChaseStep, Derivation, DerivationId, DerivationPolicy, ProofTree,
     };
-    pub use crate::rule::{AggFunc, Aggregate, Head, Literal, Rule, RuleBuilder, RuleId};
+    pub use crate::row::{Layout, Row, RowRef, Rows, Slot};
+    pub use crate::rule::{
+        AggFunc, Aggregate, Head, Literal, Rule, RuleBuilder, RuleId, RuleLayout,
+    };
     pub use crate::stratify::{stratify, Stratification};
     pub use crate::symbol::Symbol;
     pub use crate::telemetry::{Budget, CancelToken, RunGuard, RunReport, Termination};

@@ -6,9 +6,10 @@
 //! risk facts); explanation extraction chooses among them with a
 //! [`DerivationPolicy`].
 
-use crate::database::FactId;
-use crate::expr::Bindings;
+use crate::database::{table_growth, vec_growth, FactId};
+use crate::row::{Row, Rows};
 use crate::rule::RuleId;
+use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 
 /// Identifier of a derivation inside a [`ChaseGraph`].
@@ -31,12 +32,14 @@ pub struct Derivation {
     /// aggregate rules, the number of body matches folded into the
     /// aggregate (the paper's single- vs multi-contributor distinction).
     pub contributors: u32,
-    /// The substitution used to instantiate the head: full match bindings
-    /// for plain rules, group key plus aggregate result for aggregates.
-    pub bindings: Bindings,
-    /// For aggregate steps: the full bindings of each contributing match,
-    /// in match order. Empty for non-aggregate steps.
-    pub contributor_bindings: Vec<Bindings>,
+    /// The substitution used to instantiate the head, as a row of the
+    /// rule's head layout ([`RuleLayout::head`](crate::rule::RuleLayout::head)):
+    /// the full match row for plain rules, the group key plus the
+    /// aggregate result for aggregates.
+    pub bindings: Row,
+    /// For aggregate steps: the match row of each contributing match, in
+    /// match order, as one block. Empty for non-aggregate steps.
+    pub contributor_bindings: Rows,
 }
 
 impl Derivation {
@@ -48,8 +51,8 @@ impl Derivation {
             conclusion,
             round,
             contributors: 1,
-            bindings: Bindings::new(),
-            contributor_bindings: Vec::new(),
+            bindings: Row::empty(),
+            contributor_bindings: Rows::empty(),
         }
     }
 }
@@ -77,7 +80,8 @@ pub struct ChaseGraph {
     /// Facts present before the chase started.
     extensional: HashSet<FactId>,
     /// Running approximation of the graph's heap footprint, maintained in
-    /// O(1) per recorded derivation (see [`ChaseGraph::approx_bytes`]).
+    /// O(1) per recorded derivation and extensional mark (see
+    /// [`ChaseGraph::approx_bytes`]).
     approx_bytes: usize,
 }
 
@@ -89,7 +93,10 @@ impl ChaseGraph {
 
     /// Marks a fact as extensional (pre-chase).
     pub fn mark_extensional(&mut self, fact: FactId) {
-        self.extensional.insert(fact);
+        let marked = self.extensional.len();
+        if self.extensional.insert(fact) {
+            self.approx_bytes += table_growth::<FactId>(marked);
+        }
     }
 
     /// Withdraws a fact's extensional status; returns whether it was
@@ -124,16 +131,20 @@ impl ChaseGraph {
     /// Records a derivation.
     pub fn record(&mut self, derivation: Derivation) -> DerivationId {
         let id = DerivationId(u32::try_from(self.derivations.len()).expect("derivation overflow"));
-        self.by_conclusion
-            .entry(derivation.conclusion)
-            .or_default()
-            .push(id);
-        // Rough per-derivation footprint: the struct, its premise vector
-        // and a flat per-binding-map allowance. Deterministic: a function
-        // of the recorded sequence only.
-        self.approx_bytes += std::mem::size_of::<Derivation>()
+        let conclusions = self.by_conclusion.len();
+        let ids = self.by_conclusion.entry(derivation.conclusion).or_default();
+        ids.push(id);
+        let mut bytes = vec_growth::<DerivationId>(ids.len() - 1);
+        if self.by_conclusion.len() > conclusions {
+            bytes += table_growth::<(FactId, Vec<DerivationId>)>(conclusions);
+        }
+        // The derivation's slot, its premises and its rows. Deterministic:
+        // a function of the recorded sequence only.
+        self.approx_bytes += bytes
+            + vec_growth::<Derivation>(self.derivations.len())
             + derivation.premises.len() * std::mem::size_of::<FactId>()
-            + (derivation.contributor_bindings.len() + 1) * 48;
+            + (derivation.bindings.len() + derivation.contributor_bindings.values().len())
+                * std::mem::size_of::<Value>();
         self.derivations.push(derivation);
         id
     }
@@ -163,7 +174,10 @@ impl ChaseGraph {
         self.by_conclusion.contains_key(&fact)
     }
 
-    /// Approximate heap footprint of the recorded derivations, in bytes.
+    /// Approximate heap footprint of the graph, in bytes: what the
+    /// derivation vector, each derivation's premises and binding rows,
+    /// the by-conclusion index and the extensional set request from the
+    /// allocator, counted like [`Database::approx_bytes`](crate::database::Database::approx_bytes).
     /// Maintained in O(1) per record; polled (together with
     /// [`Database::approx_bytes`](crate::database::Database::approx_bytes))
     /// by the engine's memory budget.

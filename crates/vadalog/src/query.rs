@@ -10,7 +10,8 @@ use crate::program::Program;
 use crate::rule::{Head, Literal, Rule};
 
 /// Evaluates a conjunctive query (positive atoms + conditions) against the
-/// database, returning one binding set per match. Takes `&mut Database`
+/// database, returning one substitution map per match (the matcher's
+/// rows, converted at this edge). Takes `&mut Database`
 /// to build the query's join-plan indexes first; no fact is added or
 /// removed.
 ///
@@ -49,7 +50,7 @@ pub fn select(
     let metrics = &mut MatchMetrics::default();
     Ok(match_chunk(db, &rule, &plan, &MatchChunk::full(), metrics)?
         .into_iter()
-        .map(|m| m.bindings)
+        .map(|m| m.bindings.to_bindings())
         .collect())
 }
 

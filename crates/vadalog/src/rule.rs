@@ -3,6 +3,7 @@
 
 use crate::atom::Atom;
 use crate::expr::{Assignment, Condition, Expr};
+use crate::row::Layout;
 use crate::symbol::Symbol;
 use std::fmt;
 
@@ -252,6 +253,85 @@ impl Rule {
     }
 }
 
+/// The row layouts of one rule and the per-rule facts read off them,
+/// computed once per rule: the engine keeps them in the rule's
+/// [`JoinPlan`](crate::engine::JoinPlan), and explanations resolve their
+/// template tokens against them. The layouts are the only place that
+/// knows a rule's variable order.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RuleLayout {
+    /// The layout of the rule's match rows (and of a plain rule's step
+    /// rows): the positive-body variables in first-occurrence order, then
+    /// the assignment variables.
+    pub matched: Layout,
+    /// The layout of an aggregate rule's step rows: its group variables
+    /// ([`Rule::aggregate_group_vars`]) that a match binds, then the
+    /// aggregate result. `None` for rules without aggregation.
+    pub step: Option<Layout>,
+    /// Per group variable of the step layout, its slot in a match row:
+    /// the values there are a match's group key, and a step row is its
+    /// group key followed by the aggregate result.
+    pub(crate) group_slots: Vec<usize>,
+    /// The existentially quantified head variables
+    /// ([`Rule::existential_variables`]).
+    pub(crate) existentials: Vec<Symbol>,
+    /// Indexes into [`Rule::conditions`] of the conditions checked per
+    /// match: every condition not mentioning the aggregate result.
+    pub(crate) pre_conditions: Vec<usize>,
+    /// Indexes of the conditions over the aggregate result, checked on a
+    /// step row after the fold.
+    pub(crate) post_conditions: Vec<usize>,
+}
+
+impl RuleLayout {
+    /// The layouts of `rule`.
+    pub fn of(rule: &Rule) -> RuleLayout {
+        let mut vars = rule.body_variables();
+        for a in &rule.assignments {
+            if !vars.contains(&a.var) {
+                vars.push(a.var);
+            }
+        }
+        let matched = Layout::new(&vars);
+        let (step, group_slots) = match &rule.aggregate {
+            Some(agg) => {
+                let mut step_vars = Vec::new();
+                let mut slots = Vec::new();
+                for v in rule.aggregate_group_vars() {
+                    if let Some(slot) = matched.position(v) {
+                        step_vars.push(v);
+                        slots.push(slot);
+                    }
+                }
+                step_vars.push(agg.result);
+                (Some(Layout::new(&step_vars)), slots)
+            }
+            None => (None, Vec::new()),
+        };
+        let result = rule.aggregate.as_ref().map(|a| a.result);
+        let (post_conditions, pre_conditions) = (0..rule.conditions.len()).partition(|&i| {
+            let mut vars = Vec::new();
+            rule.conditions[i].collect_vars(&mut vars);
+            result.is_some_and(|r| vars.contains(&r))
+        });
+        RuleLayout {
+            matched,
+            step,
+            group_slots,
+            existentials: rule.existential_variables(),
+            pre_conditions,
+            post_conditions,
+        }
+    }
+
+    /// The layout of the rows a derivation of the rule records as its
+    /// bindings: the step layout of an aggregate rule, the match layout
+    /// otherwise. An aggregate step's contributor rows are match rows.
+    pub fn head(&self) -> Layout {
+        self.step.unwrap_or(self.matched)
+    }
+}
+
 impl fmt::Display for Rule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut parts: Vec<String> = Vec::new();
@@ -434,6 +514,40 @@ mod tests {
         assert!(r.is_constraint());
         assert!(r.head.atom().is_none());
         assert!(r.to_string().ends_with("!."));
+    }
+
+    #[test]
+    fn layouts_list_body_then_assignment_variables() {
+        // Risk(c,e,t), has_capital(c,p2), l = sum(e), l > p2 -> default(c):
+        // the step row is the bound group key {c, p2}, then the result.
+        let r = RuleBuilder::new("g")
+            .body(Atom::new(
+                "risk",
+                vec![Term::var("c"), Term::var("e"), Term::var("t")],
+            ))
+            .body(Atom::new(
+                "has_capital",
+                vec![Term::var("c"), Term::var("p2")],
+            ))
+            .assign("k", Expr::var("e"))
+            .aggregate(AggFunc::Sum, "l", Expr::var("e"))
+            .condition(Condition::new(Expr::var("t"), CmpOp::Gt, Expr::var("k")))
+            .condition(Condition::new(Expr::var("l"), CmpOp::Gt, Expr::var("p2")))
+            .head(Atom::new("default", vec![Term::var("c")]));
+        let layout = RuleLayout::of(&r);
+        let names = |l: Layout| l.vars().iter().map(|v| v.as_str()).collect::<Vec<_>>();
+        assert_eq!(names(layout.matched), vec!["c", "e", "t", "p2", "k"]);
+        assert_eq!(names(layout.step.unwrap()), vec!["c", "p2", "l"]);
+        assert_eq!(layout.head(), layout.step.unwrap());
+        assert_eq!(layout.group_slots, vec![0, 3]);
+        assert_eq!(layout.pre_conditions, vec![0]);
+        assert_eq!(layout.post_conditions, vec![1]);
+        assert!(layout.existentials.is_empty());
+
+        let plain = RuleLayout::of(&alpha());
+        assert_eq!(names(plain.matched), vec!["f", "s", "p1"]);
+        assert_eq!(plain.head(), plain.matched);
+        assert_eq!(plain.step, None);
     }
 
     #[test]

@@ -60,13 +60,14 @@ fn fingerprint(out: &ChaseOutcome) -> String {
     for d in out.graph.derivations() {
         let _ = writeln!(
             s,
-            "r{} {:?} -> {} round={} contrib={} bindings={}",
+            "r{} {:?} -> {} round={} contrib={} bindings={:?} {:?}",
             d.rule.0,
             d.premises,
             d.conclusion,
             d.round,
             d.contributors,
-            d.bindings.len(),
+            d.bindings,
+            d.contributor_bindings,
         );
     }
     let _ = write!(s, "rounds={} violations={:?}", out.rounds, out.violations);

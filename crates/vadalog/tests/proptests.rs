@@ -210,7 +210,7 @@ proptest! {
             let contributed: f64 = der
                 .contributor_bindings
                 .iter()
-                .map(|b| b[&Symbol::new("v")].as_f64().unwrap())
+                .map(|b| b.get(Symbol::new("v")).unwrap().as_f64().unwrap())
                 .sum();
             prop_assert!((total - contributed).abs() < 1e-9);
             prop_assert_eq!(der.contributors as usize, der.contributor_bindings.len());
@@ -227,7 +227,7 @@ proptest! {
 /// contributor's bindings in contributor order (variables sorted by name).
 fn provenance_fingerprint(out: &ChaseOutcome) -> String {
     use std::fmt::Write;
-    let sorted = |b: &Bindings| {
+    let sorted = |b: RowRef<'_>| {
         let mut pairs: Vec<String> = b.iter().map(|(k, v)| format!("{k}={v}")).collect();
         pairs.sort();
         pairs.join(",")
@@ -235,7 +235,7 @@ fn provenance_fingerprint(out: &ChaseOutcome) -> String {
     let mut s = outcome_fingerprint(out);
     let _ = writeln!(s, " violations={:?}", out.violations);
     for d in out.graph.derivations() {
-        let _ = write!(s, "[{}]", sorted(&d.bindings));
+        let _ = write!(s, "[{}]", sorted(d.bindings.view()));
         for c in &d.contributor_bindings {
             let _ = write!(s, " <{}>", sorted(c));
         }
