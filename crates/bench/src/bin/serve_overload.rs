@@ -12,11 +12,11 @@
 //!
 //! Usage: `cargo run --release -p bench --bin serve_overload [-- DATE]`.
 
+use bench::measure;
 use explain::ProgramArtifacts;
 use serve::{ExplainService, ServeConfig, ServeError, SnapshotHandle};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vadalog::telemetry::JsonWriter;
 use vadalog::{ChaseOutcome, ChaseSession, Fact};
 
 const ENTITIES: usize = 220;
@@ -62,9 +62,6 @@ struct Level {
 }
 
 fn main() {
-    let date = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "unreported".into());
     let host_parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -166,12 +163,8 @@ fn main() {
         "overload bench exceeded its wall limit — the shedder is stalling"
     );
 
-    let mut jw = JsonWriter::new();
-    jw.open_object();
-    jw.field_str("name", "serve_overload");
-    jw.field_str("date", &date);
-    jw.field_str(
-        "description",
+    measure::write_result(
+        "serve_overload",
         "Serving-layer load shedding under queue oversubscription. N \
          concurrent clients each submit 32-goal explanation batches \
          (30 rounds) against a 2-worker service with a 32-deep job \
@@ -183,93 +176,37 @@ fn main() {
          themselves are host-dependent and recorded as observed. \
          Regenerate with `cargo run --release -p bench --bin \
          serve_overload -- $(date +%F)`.",
+        |jw| {
+            jw.field_u64("host_parallelism", host_parallelism as u64);
+            jw.key("workload");
+            jw.open_object();
+            jw.field_str("app", "control");
+            jw.field_u64("entities", ENTITIES as u64);
+            jw.field_u64("edges_per_entity", EDGES_PER_ENTITY as u64);
+            jw.field_u64("seed", SEED);
+            jw.field_u64("workers", WORKERS as u64);
+            jw.field_u64("queue_depth", QUEUE_DEPTH as u64);
+            jw.field_u64("batch_goals", BATCH_GOALS as u64);
+            jw.field_u64("rounds_per_client", ROUNDS as u64);
+            jw.field_f64("request_deadline_ms", DEADLINE.as_secs_f64() * 1e3);
+            jw.close_object();
+            jw.key("levels");
+            jw.open_array();
+            for level in &levels {
+                jw.open_object();
+                jw.field_u64("oversubscription", level.clients as u64);
+                jw.field_u64("clients", level.clients as u64);
+                jw.field_u64("goals_submitted", level.tally.submitted);
+                jw.field_u64("answered", level.tally.answered);
+                jw.field_u64("shed", level.tally.shed);
+                jw.field_u64("deadline_exceeded", level.tally.deadline);
+                jw.field_f64("total_ms", level.total_ms);
+                jw.field_f64("answered_qps", level.answered_qps);
+                jw.field_f64("shed_rate", level.shed_rate);
+                jw.field_f64("deadline_rate", level.deadline_rate);
+                jw.close_object();
+            }
+            jw.close_array();
+        },
     );
-    jw.field_u64("host_parallelism", host_parallelism as u64);
-    jw.key("workload");
-    jw.open_object();
-    jw.field_str("app", "control");
-    jw.field_u64("entities", ENTITIES as u64);
-    jw.field_u64("edges_per_entity", EDGES_PER_ENTITY as u64);
-    jw.field_u64("seed", SEED);
-    jw.field_u64("workers", WORKERS as u64);
-    jw.field_u64("queue_depth", QUEUE_DEPTH as u64);
-    jw.field_u64("batch_goals", BATCH_GOALS as u64);
-    jw.field_u64("rounds_per_client", ROUNDS as u64);
-    jw.field_f64("request_deadline_ms", DEADLINE.as_secs_f64() * 1e3);
-    jw.close_object();
-    jw.key("levels");
-    jw.open_array();
-    for level in &levels {
-        jw.open_object();
-        jw.field_u64("oversubscription", level.clients as u64);
-        jw.field_u64("clients", level.clients as u64);
-        jw.field_u64("goals_submitted", level.tally.submitted);
-        jw.field_u64("answered", level.tally.answered);
-        jw.field_u64("shed", level.tally.shed);
-        jw.field_u64("deadline_exceeded", level.tally.deadline);
-        jw.field_f64("total_ms", level.total_ms);
-        jw.field_f64("answered_qps", level.answered_qps);
-        jw.field_f64("shed_rate", level.shed_rate);
-        jw.field_f64("deadline_rate", level.deadline_rate);
-        jw.close_object();
-    }
-    jw.close_array();
-    jw.close_object();
-
-    let json = jw.finish();
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_serve_overload.json", pretty(&json)).expect("write results");
-    println!(
-        "wrote results/BENCH_serve_overload.json ({} levels)",
-        levels.len()
-    );
-}
-
-/// Minimal JSON pretty-printer (2-space indent) so the checked-in result
-/// diffs cleanly; input is the trusted output of [`JsonWriter`].
-fn pretty(json: &str) -> String {
-    let mut out = String::with_capacity(json.len() * 2);
-    let mut indent = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in json.chars() {
-        if in_string {
-            out.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_string = true;
-                out.push(c);
-            }
-            '{' | '[' => {
-                out.push(c);
-                indent += 1;
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-            }
-            '}' | ']' => {
-                indent = indent.saturating_sub(1);
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(c);
-            }
-            ',' => {
-                out.push(c);
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-            }
-            ':' => out.push_str(": "),
-            _ => out.push(c),
-        }
-    }
-    out.push('\n');
-    out
 }

@@ -12,6 +12,11 @@
 //! | Fig. 15/16 (expert study)        | [`fig16`]   | `fig16_expert_study` |
 //! | Fig. 17 (LLM omissions)          | [`fig17`]   | `fig17_omissions` |
 //! | Fig. 18 (running times)          | [`fig18`]   | `fig18_performance` |
+//!
+//! The perf bins (`goal_directed`, `incremental_bench`, `serving`,
+//! `serve_overload`, `obs_overhead`, `checkpoint_overhead`) share
+//! [`measure`]: one paired-sample loop, one summary and one result
+//! writer.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -22,6 +27,7 @@ pub mod fig14;
 pub mod fig16;
 pub mod fig17;
 pub mod fig18;
+pub mod measure;
 
 /// Renders a markdown-ish table: header row plus aligned data rows.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {

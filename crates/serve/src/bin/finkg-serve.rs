@@ -336,7 +336,7 @@ fn main() {
     };
     println!("finkg-serve: listening on http://{}", server.addr());
     println!("  GET  /health    liveness + snapshot version");
-    println!("  GET  /ready     readiness (503 while snapshot publishing is degraded)");
+    println!("  GET  /ready     readiness (200 once the snapshot is published)");
     println!("  GET  /metrics   Prometheus metrics");
     println!("  GET  /snapshot  current snapshot summary");
     println!("  GET  /debug/flight  flight recorder (last failure snapshot + live tail)");

@@ -21,7 +21,7 @@
 //! | Method & path   | Behaviour                                          |
 //! |-----------------|----------------------------------------------------|
 //! | `GET /health`   | liveness + build info (crate version, enabled features) + current snapshot version |
-//! | `GET /ready`    | readiness: `200 ready` or `503 degraded` while snapshot publishes fail |
+//! | `GET /ready`    | readiness: `200 ready` with the snapshot version and live workers |
 //! | `GET /metrics`  | Prometheus text of the process metrics registry    |
 //! | `GET /snapshot` | current snapshot version, update kind (`full`/`delta`), delta fact counts, database size |
 //! | `POST /explain` | body = goal fact literals (`control("B","D").`), one per line; answers each in order |
@@ -458,7 +458,7 @@ struct Response {
     /// `exhausted` (≥1 goal tripped the per-request deadline — a `200`
     /// with per-goal errors), `error` (≥1 goal failed otherwise),
     /// `shed` (whole batch refused with `503`), `bad_request`,
-    /// `degraded`, `not_found`.
+    /// `not_found`.
     disposition: &'static str,
 }
 
@@ -583,21 +583,16 @@ fn route(request: &Request, service: &ExplainService, config: &ServeConfig) -> R
             Response::json("200 OK", w.finish(), "ok")
         }
         ("GET", "/ready") => {
-            let degraded = service.snapshot_handle().is_degraded();
             let mut w = JsonWriter::new();
             w.open_object();
-            w.field_str("status", if degraded { "degraded" } else { "ready" });
+            w.field_str("status", "ready");
             w.field_u64(
                 "snapshot_version",
                 service.snapshot_handle().current().version(),
             );
             w.field_u64("workers_alive", service.alive_workers() as u64);
             w.close_object();
-            if degraded {
-                Response::json("503 Service Unavailable", w.finish(), "degraded")
-            } else {
-                Response::json("200 OK", w.finish(), "ok")
-            }
+            Response::json("200 OK", w.finish(), "ok")
         }
         ("GET", "/metrics") => Response {
             status: "200 OK",

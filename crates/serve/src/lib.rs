@@ -36,8 +36,7 @@
 //! pipeline spans all carry the request's trace id and can be cut out
 //! of a mixed span stream with
 //! [`to_chrome_trace_for`](vadalog::obs::to_chrome_trace_for). Failure
-//! events (sheds, deadline trips, worker panics, publish failures,
-//! degraded flips) land in the always-on
+//! events (sheds, deadline trips, worker panics) land in the always-on
 //! [`FlightRecorder`](vadalog::obs::FlightRecorder), which freezes a
 //! snapshot of its recent-span/event rings at each failure; goals
 //! slower than [`ServeConfig::with_slow_query_threshold`] are captured
@@ -57,16 +56,12 @@
 //!   [`Explainer`](explain::Explainer) so a slow goal returns a
 //!   deterministic resource-exhausted error instead of hanging the
 //!   connection.
-//! * Snapshot publishing can be made fault-tolerant with
-//!   [`SnapshotHandle::publish_with_retry`] and [`PublishRetry`]
-//!   (capped exponential backoff); while publishes fail the service
-//!   keeps answering from the last good snapshot and reports
-//!   `degraded` on `GET /ready` and the `vadalog_serve_degraded`
-//!   gauge.
+//! * Publishing a snapshot is an in-memory pointer swap that cannot
+//!   fail, so `GET /ready` answers `200` once the server is up.
 //!
 //! Compile with `--features faultpoints` to enable the deterministic
-//! fault-injection points (`serve.worker`, `serve.publish`,
-//! `serve.handler`) used by the chaos test-suite.
+//! fault-injection points (`serve.worker`, `serve.handler`) used by the
+//! chaos test-suite.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -77,4 +72,4 @@ pub mod snapshot;
 
 pub use http::HttpServer;
 pub use service::{ExplainService, ServeConfig, ServeError};
-pub use snapshot::{PublishRetry, Snapshot, SnapshotHandle, SnapshotUpdate, UpdateKind};
+pub use snapshot::{Snapshot, SnapshotHandle, SnapshotUpdate, UpdateKind};

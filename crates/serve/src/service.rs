@@ -247,14 +247,6 @@ pub enum ServeError {
         /// The panic payload, stringified.
         message: String,
     },
-    /// A snapshot publish failed and exhausted its retry budget; the
-    /// service keeps answering from the last good snapshot (degraded).
-    Publish {
-        /// Publish attempts made (initial + retries).
-        attempts: u32,
-        /// The last injected/underlying I/O failure.
-        source: std::io::Error,
-    },
     /// The service is shutting down and dropped the job.
     Shutdown,
 }
@@ -275,9 +267,6 @@ impl std::fmt::Display for ServeError {
             ServeError::WorkerPanic { goal, message } => {
                 write!(f, "worker panicked answering {goal}: {message}")
             }
-            ServeError::Publish { attempts, .. } => {
-                write!(f, "snapshot publish failed after {attempts} attempts")
-            }
             ServeError::Shutdown => write!(f, "service is shutting down"),
         }
     }
@@ -287,7 +276,6 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::Explain { source, .. } => Some(source),
-            ServeError::Publish { source, .. } => Some(source),
             _ => None,
         }
     }

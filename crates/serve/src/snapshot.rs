@@ -14,10 +14,7 @@
 //! finish. There are no torn reads by construction — the outcome, its
 //! version and its update metadata travel in one immutable allocation.
 
-use crate::service::ServeError;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
 use vadalog::{ChaseOutcome, DeltaOutcome};
 
 /// How a snapshot version came to be, surfaced via `/snapshot` and the
@@ -46,10 +43,8 @@ impl UpdateKind {
 ///
 /// Built with [`SnapshotUpdate::full`] for whole-outcome replacement or
 /// [`SnapshotUpdate::delta`] for an incrementally maintained one, and
-/// handed to [`SnapshotHandle::publish`]. `Clone` is cheap (the outcome
-/// travels behind an `Arc`), which is what lets
-/// [`publish_with_retry`](SnapshotHandle::publish_with_retry) reattempt
-/// a failed publish.
+/// handed to [`SnapshotHandle::publish`]. `Clone` is cheap: the outcome
+/// travels behind an `Arc`.
 #[derive(Clone, Debug)]
 pub struct SnapshotUpdate {
     outcome: Arc<ChaseOutcome>,
@@ -132,60 +127,6 @@ impl Snapshot {
 #[derive(Clone, Debug)]
 pub struct SnapshotHandle {
     slot: Arc<RwLock<Arc<Snapshot>>>,
-    degraded: Arc<AtomicBool>,
-}
-
-/// Capped-exponential-backoff schedule for
-/// [`SnapshotHandle::publish_with_retry`]: attempt `n` (0-based) sleeps
-/// `base * 2^n`, capped at `cap`, before retrying.
-///
-/// `#[non_exhaustive]`: construct via [`PublishRetry::default`] and the
-/// `with_*` setters.
-#[non_exhaustive]
-#[derive(Clone, Debug)]
-pub struct PublishRetry {
-    /// Total publish attempts (initial + retries), at least 1.
-    pub attempts: u32,
-    /// Backoff before the first retry.
-    pub base: Duration,
-    /// Backoff ceiling.
-    pub cap: Duration,
-}
-
-impl Default for PublishRetry {
-    fn default() -> PublishRetry {
-        PublishRetry {
-            attempts: 5,
-            base: Duration::from_millis(50),
-            cap: Duration::from_secs(2),
-        }
-    }
-}
-
-impl PublishRetry {
-    /// Sets the total attempt budget (at least 1).
-    pub fn with_attempts(mut self, attempts: u32) -> PublishRetry {
-        self.attempts = attempts.max(1);
-        self
-    }
-
-    /// Sets the initial backoff.
-    pub fn with_base(mut self, base: Duration) -> PublishRetry {
-        self.base = base;
-        self
-    }
-
-    /// Sets the backoff ceiling.
-    pub fn with_cap(mut self, cap: Duration) -> PublishRetry {
-        self.cap = cap;
-        self
-    }
-
-    /// The backoff slept after failed attempt `n` (0-based).
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let factor = 1u32 << attempt.min(16);
-        (self.base * factor).min(self.cap)
-    }
 }
 
 impl SnapshotHandle {
@@ -200,7 +141,6 @@ impl SnapshotHandle {
                 facts_added: 0,
                 facts_retracted: 0,
             }))),
-            degraded: Arc::new(AtomicBool::new(false)),
         }
     }
 
@@ -211,43 +151,9 @@ impl SnapshotHandle {
         Arc::clone(&self.slot.read().expect("snapshot slot poisoned"))
     }
 
-    /// True while the last publish attempt failed and no publish has
-    /// succeeded since: the service still answers — from the last good
-    /// snapshot — but `GET /ready` reports `degraded` and the
-    /// `vadalog_serve_degraded` gauge is 1.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Acquire)
-    }
-
-    fn set_degraded(&self, degraded: bool) {
-        let was = self.degraded.swap(degraded, Ordering::AcqRel);
-        vadalog::obs::metrics::global()
-            .gauge(
-                "vadalog_serve_degraded",
-                "1 while the last snapshot publish failed (serving the last good snapshot), 0 when healthy.",
-            )
-            .set(u64::from(degraded));
-        // Record only actual transitions, not every healthy publish.
-        if was != degraded {
-            let recorder = vadalog::obs::flight::global();
-            if degraded {
-                recorder.failure(
-                    "degraded",
-                    "snapshot publish failed; serving the last good snapshot",
-                );
-            } else {
-                recorder.event(
-                    "recovered",
-                    "snapshot publish succeeded; degradation cleared",
-                );
-            }
-        }
-    }
-
     /// Atomically publishes `update` as the next version and returns
     /// that version. In-flight readers keep the snapshot they already
-    /// took; new readers observe the new one. A successful publish
-    /// clears the degraded state.
+    /// took; new readers observe the new one. The swap cannot fail.
     pub fn publish(&self, update: SnapshotUpdate) -> u64 {
         let kind = update.kind;
         let mut slot = self.slot.write().expect("snapshot slot poisoned");
@@ -260,7 +166,6 @@ impl SnapshotHandle {
             facts_retracted: update.facts_retracted,
         });
         drop(slot);
-        self.set_degraded(false);
         let registry = vadalog::obs::metrics::global();
         registry
             .gauge(
@@ -284,60 +189,6 @@ impl SnapshotHandle {
                 .inc();
         }
         version
-    }
-
-    /// One fault-checkable publish attempt: consults the
-    /// `serve.publish` fault point (armed only under the `faultpoints`
-    /// feature) and, on an injected failure, marks the handle degraded
-    /// and leaves the current snapshot untouched — readers keep
-    /// answering from the last good version.
-    pub fn try_publish(&self, update: SnapshotUpdate) -> std::io::Result<u64> {
-        if let Err(e) = vadalog::faultpoint::io_hit("serve.publish") {
-            vadalog::obs::metrics::global()
-                .counter(
-                    "vadalog_serve_publish_failures_total",
-                    "Snapshot publish attempts that failed.",
-                )
-                .inc();
-            vadalog::obs::flight::global().failure("publish_failure", e.to_string());
-            self.set_degraded(true);
-            return Err(e);
-        }
-        Ok(self.publish(update))
-    }
-
-    /// Publishes `update`, retrying failed attempts with capped
-    /// exponential backoff per `retry`. While attempts fail the handle
-    /// is degraded and the service keeps answering from the last good
-    /// snapshot; the first success clears the degradation and returns
-    /// the new version. When the attempt budget is exhausted the handle
-    /// stays degraded and the last failure comes back as
-    /// [`ServeError::Publish`].
-    pub fn publish_with_retry(
-        &self,
-        update: SnapshotUpdate,
-        retry: &PublishRetry,
-    ) -> Result<u64, ServeError> {
-        let retries = vadalog::obs::metrics::global().counter(
-            "vadalog_serve_publish_retries_total",
-            "Publish reattempts after a failed snapshot publish.",
-        );
-        let mut last_error = None;
-        for attempt in 0..retry.attempts {
-            if attempt > 0 {
-                retries.inc();
-                std::thread::sleep(retry.backoff(attempt - 1));
-            }
-            match self.try_publish(update.clone()) {
-                Ok(version) => return Ok(version),
-                Err(e) => last_error = Some(e),
-            }
-        }
-        Err(ServeError::Publish {
-            attempts: retry.attempts,
-            source: last_error
-                .unwrap_or_else(|| std::io::Error::other("publish retry budget was zero")),
-        })
     }
 }
 
@@ -398,37 +249,6 @@ mod tests {
         let v2 = handle.publish(SnapshotUpdate::full(outcome(&[("x", "y")])));
         assert_eq!(v2, 2);
         assert_eq!(handle.current().update_kind(), UpdateKind::Full);
-    }
-
-    #[test]
-    fn retry_backoff_is_capped_exponential() {
-        let retry = PublishRetry::default()
-            .with_base(Duration::from_millis(10))
-            .with_cap(Duration::from_millis(35));
-        assert_eq!(retry.backoff(0), Duration::from_millis(10));
-        assert_eq!(retry.backoff(1), Duration::from_millis(20));
-        assert_eq!(retry.backoff(2), Duration::from_millis(35));
-        assert_eq!(retry.backoff(30), Duration::from_millis(35));
-    }
-
-    #[test]
-    fn unarmed_publishes_stay_healthy() {
-        let handle = SnapshotHandle::new(outcome(&[("a", "b")]));
-        assert!(!handle.is_degraded());
-        let v = handle
-            .publish_with_retry(
-                SnapshotUpdate::full(outcome(&[("x", "y")])),
-                &PublishRetry::default(),
-            )
-            .unwrap();
-        assert_eq!(v, 2);
-        assert!(!handle.is_degraded());
-        assert_eq!(
-            handle
-                .try_publish(SnapshotUpdate::full(outcome(&[("p", "q")])))
-                .unwrap(),
-            3
-        );
     }
 
     #[test]

@@ -2,16 +2,12 @@
 //! layer (compile with `--features faultpoints`). Worker panics and
 //! crashes must stay isolated — batches complete, the pool respawns to
 //! full width, and answers stay byte-identical to an uninjected run at
-//! any worker count. Publish failures must degrade to the last good
-//! snapshot (visible on `GET /ready`) and recover after backoff, and a
-//! saturated job queue must shed whole batches with `503` +
-//! `Retry-After` instead of stalling.
+//! any worker count. A saturated job queue must shed whole batches
+//! with `503` + `Retry-After` instead of stalling.
 #![cfg(feature = "faultpoints")]
 
 use explain::{Explainer, ProgramArtifacts};
-use serve::{
-    ExplainService, HttpServer, PublishRetry, ServeConfig, SnapshotHandle, SnapshotUpdate,
-};
+use serve::{ExplainService, HttpServer, ServeConfig, SnapshotHandle};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -148,78 +144,22 @@ fn http(addr: std::net::SocketAddr, request: &str) -> (String, String, String) {
     (status, head, body)
 }
 
-fn boot_scenario(config: ServeConfig) -> (HttpServer, SnapshotHandle) {
+fn boot_scenario(config: ServeConfig) -> HttpServer {
     let program = finkg::apps::control::program();
     let outcome = ChaseSession::new(&program)
         .run(finkg::scenario::database())
         .unwrap();
-    let handle = SnapshotHandle::new(outcome);
     let service = Arc::new(ExplainService::new(
         control_artifacts(),
-        handle.clone(),
+        SnapshotHandle::new(outcome),
         config,
     ));
-    (HttpServer::bind("127.0.0.1:0", service).unwrap(), handle)
-}
-
-#[test]
-fn publish_failures_degrade_then_recover_with_backoff() {
-    let (mut server, handle) = boot_scenario(ServeConfig::default().with_workers(1));
-    let addr = server.addr();
-    let next = SnapshotUpdate::full(Arc::new(control_outcome(20, 3)));
-
-    let _faults = arm(FaultPlan::new()
-        .io_error_at("serve.publish", 1)
-        .io_error_at("serve.publish", 2)
-        .io_error_at("serve.publish", 3));
-
-    // First publish attempt fails: the service keeps serving the last
-    // good snapshot and /ready flips to degraded.
-    assert!(handle.try_publish(next.clone()).is_err());
-    assert!(handle.is_degraded());
-    let (status, _, body) = http(addr, "GET /ready HTTP/1.1\r\nHost: x\r\n\r\n");
-    assert!(status.contains("503"), "{status}");
-    assert!(body.contains("\"status\":\"degraded\""), "{body}");
-    let (status, _, _) = http(addr, "GET /health HTTP/1.1\r\nHost: x\r\n\r\n");
-    assert!(
-        status.contains("200"),
-        "degraded must not kill liveness: {status}"
-    );
-    assert_eq!(handle.current().version(), 1, "last good snapshot stays");
-
-    // Retried publishing eats the remaining two injected failures and
-    // lands on the fourth attempt; recovery clears the degraded state.
-    let retry = PublishRetry::default().with_base(Duration::from_millis(1));
-    let version = handle.publish_with_retry(next, &retry).unwrap();
-    assert_eq!(version, 2);
-    assert!(!handle.is_degraded());
-    let (status, _, body) = http(addr, "GET /ready HTTP/1.1\r\nHost: x\r\n\r\n");
-    assert!(status.contains("200"), "{status}");
-    assert!(body.contains("\"status\":\"ready\""), "{body}");
-    server.stop();
-}
-
-#[test]
-fn exhausted_publish_retries_surface_a_structured_error() {
-    let handle = SnapshotHandle::new(control_outcome(20, 5));
-    let next = SnapshotUpdate::full(Arc::new(control_outcome(20, 6)));
-    let mut plan = FaultPlan::new();
-    for nth in 1..=3 {
-        plan = plan.io_error_at("serve.publish", nth);
-    }
-    let _faults = arm(plan);
-    let retry = PublishRetry::default()
-        .with_attempts(3)
-        .with_base(Duration::from_millis(1));
-    let err = handle.publish_with_retry(next, &retry).unwrap_err();
-    assert!(err.to_string().contains("3"), "{err}");
-    assert!(handle.is_degraded());
-    assert_eq!(handle.current().version(), 1);
+    HttpServer::bind("127.0.0.1:0", service).unwrap()
 }
 
 #[test]
 fn saturated_job_queue_sheds_batches_with_503_retry_after() {
-    let (mut server, _handle) = boot_scenario(
+    let mut server = boot_scenario(
         ServeConfig::default()
             .with_workers(1)
             .with_queue_depth(1)
@@ -266,7 +206,7 @@ fn saturated_job_queue_sheds_batches_with_503_retry_after() {
 
 #[test]
 fn slow_handler_injection_delays_but_does_not_break_requests() {
-    let (mut server, _handle) = boot_scenario(ServeConfig::default().with_workers(1));
+    let mut server = boot_scenario(ServeConfig::default().with_workers(1));
     let _faults = arm(FaultPlan::new().sleep_at("serve.handler", 1, 200));
     let started = Instant::now();
     let (status, _, body) = http(server.addr(), "GET /health HTTP/1.1\r\nHost: x\r\n\r\n");
@@ -282,7 +222,7 @@ fn slow_handler_injection_delays_but_does_not_break_requests() {
 
 #[test]
 fn injected_worker_panic_lands_in_the_flight_recorder_with_the_request_trace() {
-    let (mut server, _handle) = boot_scenario(ServeConfig::default().with_workers(2));
+    let mut server = boot_scenario(ServeConfig::default().with_workers(2));
     let addr = server.addr();
     let _faults = arm(FaultPlan::new().panic_at("serve.worker", 1));
 

@@ -36,20 +36,25 @@
 //!
 //! Telemetry: the replayed [`RunReport`] replicates the from-scratch
 //! `firings` / `facts_committed` / `duplicates_preempted` counters, the
-//! round log's commit columns and the peak fact/derivation sizes.
-//! Matching-side counters (`matches_enumerated`, probe/scan counts) are
-//! reported as zero — maintenance deliberately skips that work, which is
-//! the point. [`RunReport::count_fingerprint`] of a maintained outcome is
-//! therefore invariant across thread counts (maintenance is sequential)
-//! but not byte-equal to a from-scratch report.
+//! round log's commit columns and the peak fact/derivation sizes. Its
+//! matching-side counters (`matches_enumerated`, probe, scan and
+//! negation counts) report the work maintenance did: per rule, the
+//! matches and lookups of every pivoted and full re-enumeration, plus
+//! the constraint pass over the replayed store, so
+//! [`RunReport::total_matches`] of a maintained outcome is the matching
+//! cost of the delta. The round log's `matches` column stays 0, because
+//! maintenance enumerates per stratum, not per from-scratch round.
+//! Maintenance is sequential, so [`RunReport::count_fingerprint`] of a
+//! maintained outcome is invariant across thread counts, but it is not
+//! byte-equal to a from-scratch report.
 //!
 //! Programs using aggregates or existential invention fall back to
 //! [`DeltaStrategy::FullRechase`]: a from-scratch chase on the updated
 //! EDB, which trivially satisfies the determinism contract.
 
 use super::{
-    join_plans, match_chunk, match_delta, Chase, ChaseConfig, ChaseOutcome, ChaseSession, JoinPlan,
-    MatchChunk, MatchMetrics,
+    count_matching, join_plans, match_chunk, match_delta, Chase, ChaseConfig, ChaseOutcome,
+    ChaseSession, JoinPlan, MatchChunk, MatchMetrics,
 };
 use crate::atom::{Atom, Fact};
 use crate::database::{Database, FactId};
@@ -605,6 +610,8 @@ fn maintain(
     let mut seen: HashSet<(RuleId, FactId, Vec<FactId>)> = HashSet::new();
     let mut new_ders: Vec<Derivation> = Vec::new();
     let mut rederived = 0usize;
+    // Per rule, the lookups and matches maintenance enumerated.
+    let mut work: Vec<(MatchMetrics, u64)> = vec![Default::default(); program.len()];
     let strata = program.stratification().strata;
     for stratum in 0..strata {
         let stratum_rules: Vec<usize> = (0..program.len())
@@ -703,7 +710,7 @@ fn maintain(
             for &idx in &stratum_rules {
                 let rule = program.rule(RuleId(idx));
                 let current = db.len();
-                let metrics = &mut MatchMetrics::default();
+                let (metrics, enumerated) = &mut work[idx];
                 let mut matches = if needs_full[idx] {
                     needs_full[idx] = false;
                     match_chunk(&db, rule, &plans[idx], &MatchChunk::full(), metrics)
@@ -716,6 +723,7 @@ fn maintain(
                     rule: rule.label.clone(),
                     source,
                 })?;
+                *enumerated += matches.len() as u64;
                 watermark[idx] = current;
                 matches.sort_by(|a, b| a.premises.cmp(&b.premises));
                 matches.dedup_by(|a, b| a.premises == b.premises);
@@ -796,7 +804,10 @@ fn maintain(
             bindings: &der.bindings,
         });
     }
-    let outcome = replay(program, config, db, &live_ders, &edb_order, &plans, started)?;
+    let mut outcome = replay(program, config, db, &live_ders, &edb_order, &plans, started)?;
+    for (stats, (metrics, enumerated)) in outcome.report.rules.iter_mut().zip(&work) {
+        count_matching(stats, metrics, *enumerated);
+    }
     Ok((
         outcome,
         DeltaCounts {
@@ -1041,12 +1052,13 @@ fn replay(
             if !rule.is_constraint() {
                 continue;
             }
-            let metrics = &mut MatchMetrics::default();
-            let matches = match_chunk(&ndb, rule, &plans[idx], &MatchChunk::full(), metrics)
+            let mut metrics = MatchMetrics::default();
+            let matches = match_chunk(&ndb, rule, &plans[idx], &MatchChunk::full(), &mut metrics)
                 .map_err(|source| ChaseError::Eval {
-                    rule: rule.label.clone(),
-                    source,
-                })?;
+                rule: rule.label.clone(),
+                source,
+            })?;
+            count_matching(&mut rules_report[idx], &metrics, matches.len() as u64);
             let first_round = stratum_first[program.rule_stratum(RuleId(idx))];
             if let Some(first) = matches
                 .iter()
@@ -1211,6 +1223,32 @@ mod tests {
             vec![own("A", "B"), own("B", "C"), own("C", "D")],
             &applied.outcome,
         );
+    }
+
+    #[test]
+    fn maintained_reports_count_the_matches_maintenance_enumerated() {
+        // Adding own(C, D) to own(A, B), own(B, C), whose model holds
+        // reach(A, B), reach(B, C) and reach(A, C). First pass: r1
+        // pivots on own(C, D) (1 match, reach(C, D)); r2's reach pivot
+        // finds no own(D, _) after reach(C, D), and its own pivot joins
+        // own(C, D) with reach(B, C) and reach(A, C) (2 matches). Second
+        // pass: no own fact is new, and no own(D, _) follows reach(B, D)
+        // or reach(A, D). So r1 enumerates 1 match and r2 2.
+        let parsed = parse_program(REACH).unwrap();
+        for threads in [1, 2, 8] {
+            let config = ChaseConfig::default().with_threads(threads);
+            let (mut session, _) =
+                initial(&parsed.program, vec![own("A", "B"), own("B", "C")], &config);
+            let applied = session
+                .apply_delta(Delta::new().add(own("C", "D")))
+                .unwrap();
+            assert_eq!(applied.strategy, DeltaStrategy::Incremental);
+            let report = &applied.outcome.report;
+            let per_rule: Vec<u64> = report.rules.iter().map(|r| r.matches_enumerated).collect();
+            assert_eq!(per_rule, [1, 2], "threads {threads}");
+            assert_eq!(report.total_matches(), 3, "threads {threads}");
+            assert!(report.rounds_log.iter().all(|r| r.matches == 0));
+        }
     }
 
     #[test]

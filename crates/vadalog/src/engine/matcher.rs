@@ -179,13 +179,10 @@ pub struct JoinPlan {
     /// Per negated atom: its arguments against the full match row
     /// (unbound variables are wildcards).
     negated_args: Vec<Vec<Arg>>,
-    /// Per assignment: the slot it writes and how many leading slots are
-    /// bound when it runs (the body variables and earlier assignments).
-    assignment_slots: Vec<(usize, usize)>,
-    /// The body-variable slots an assignment rewrites (`y = y + 1` after
-    /// `p(x, y)`), ascending: the join still reads them, so a match
-    /// restores them once it is finished.
-    rebound: Vec<usize>,
+    /// Per assignment: the slot it writes. Program validation makes each
+    /// target fresh, so the slots before it — the body variables and the
+    /// earlier assignments — are exactly what it may read.
+    assignment_slots: Vec<usize>,
     /// The head arguments against the head layout
     /// ([`RuleLayout::head`]); [`Arg::Free`] marks an existential.
     head_args: Vec<Arg>,
@@ -286,27 +283,11 @@ impl JoinPlan {
             .iter()
             .map(|args| pinned_positions(args))
             .collect();
-        let body_len = rule.body_variables().len();
-        let mut next_fresh = body_len;
-        let assignment_slots: Vec<(usize, usize)> = rule
+        let assignment_slots: Vec<usize> = rule
             .assignments
             .iter()
-            .map(|a| {
-                let slot = layout.matched.position(a.var).expect("assignment variable");
-                let visible = next_fresh;
-                if slot == next_fresh {
-                    next_fresh += 1;
-                }
-                (slot, visible)
-            })
+            .map(|a| layout.matched.position(a.var).expect("assignment variable"))
             .collect();
-        let mut rebound: Vec<usize> = assignment_slots
-            .iter()
-            .map(|&(slot, _)| slot)
-            .filter(|&slot| slot < body_len)
-            .collect();
-        rebound.sort_unstable();
-        rebound.dedup();
         let (head, head_args) = match &rule.head {
             Head::Atom(h) => {
                 let head_args: Vec<Arg> =
@@ -325,7 +306,6 @@ impl JoinPlan {
             args,
             negated_args,
             assignment_slots,
-            rebound,
             head_args,
         }
     }
@@ -569,9 +549,8 @@ fn chunk_bounds(len: usize, part: usize, parts: usize) -> (usize, usize) {
 /// chunk owns; it applies at depth 0 only. Each candidate writes the
 /// slots its atom binds into `row` and checks the ones bound before; a
 /// slot bound at depth `d` is rewritten by the next candidate at `d`
-/// before anything reads it again, so backtracking needs no undo. The
-/// one other writer, an assignment to a body variable, is undone by
-/// [`finish_match`].
+/// before anything reads it again, so backtracking needs no undo.
+/// Assignments write only the slots past the body variables.
 #[allow(clippy::too_many_arguments)]
 fn join(
     db: &Database,
@@ -653,33 +632,9 @@ fn join(
 /// Runs once per complete positive match, so the negation counters it
 /// feeds are invariant across chunk counts by construction.
 ///
-/// The assignments write into `row`. Their own slots lie past the body
-/// variables and no atom reads them, but an assignment to a body
-/// variable rewrites a slot the join bound: those slots
-/// (`JoinPlan::rebound`) get their joined values back before this
-/// returns, on every path.
+/// The assignments write into `row`. Their slots lie past the body
+/// variables, so no atom of the join reads them.
 fn finish_match(
-    db: &Database,
-    rule: &Rule,
-    plan: &JoinPlan,
-    row: &mut [Value],
-    premises: &[FactId],
-    metrics: &mut MatchMetrics,
-) -> Result<Option<BodyMatch>, EvalError> {
-    if plan.rebound.is_empty() {
-        return complete_match(db, rule, plan, row, premises, metrics);
-    }
-    let joined: Vec<Value> = plan.rebound.iter().map(|&slot| row[slot]).collect();
-    let finished = complete_match(db, rule, plan, row, premises, metrics);
-    for (&slot, value) in plan.rebound.iter().zip(joined) {
-        row[slot] = value;
-    }
-    finished
-}
-
-/// [`finish_match`] without the restore: leaves the assignment results
-/// in `row`.
-fn complete_match(
     db: &Database,
     rule: &Rule,
     plan: &JoinPlan,
@@ -690,8 +645,8 @@ fn complete_match(
     let layout = plan.layout.matched;
     // Each assignment reads the body variables and the assignments
     // before it.
-    for (a, &(slot, visible)) in rule.assignments.iter().zip(&plan.assignment_slots) {
-        row[slot] = a.expr.eval(&RowRef::new(layout, &row[..visible]))?;
+    for (a, &slot) in rule.assignments.iter().zip(&plan.assignment_slots) {
+        row[slot] = a.expr.eval(&RowRef::new(layout, &row[..slot]))?;
     }
 
     // Negated atoms: fail the match if any fact matches under θ. The
@@ -914,83 +869,6 @@ mod tests {
 
     /// `p(x,y), r(y,z)[, s(y,w)], y = y + 1`: the assignment rewrites a
     /// body variable the join still reads.
-    fn rebinding_rule(third: bool) -> Rule {
-        let mut rule = RuleBuilder::new("r")
-            .body(Atom::new("p", vec![Term::var("x"), Term::var("y")]))
-            .body(Atom::new("r", vec![Term::var("y"), Term::var("z")]));
-        if third {
-            rule = rule.body(Atom::new("s", vec![Term::var("y"), Term::var("w")]));
-        }
-        rule.assign(
-            "y",
-            Expr::binary(
-                crate::expr::ArithOp::Add,
-                Expr::var("y"),
-                Expr::constant(1i64),
-            ),
-        )
-        .head(Atom::new(
-            "q",
-            vec![Term::var("x"), Term::var("y"), Term::var("z")],
-        ))
-    }
-
-    fn rebinding_db() -> Database {
-        let mut db = Database::new();
-        db.add("p", &["A".into(), Value::Int(1)]); // 0
-        db.add("r", &[Value::Int(1), "a".into()]); // 1
-        db.add("r", &[Value::Int(1), "b".into()]); // 2
-        db.add("r", &[Value::Int(2), "c".into()]); // 3: joins no p fact
-        db.add("s", &[Value::Int(1), "u".into()]); // 4
-        db.add("s", &[Value::Int(1), "v".into()]); // 5
-        db.add("s", &[Value::Int(2), "bad".into()]); // 6: joins no p fact
-        db
-    }
-
-    #[test]
-    fn an_assignment_to_a_body_variable_leaves_the_join_intact() {
-        let ids = |v: &[u32]| v.iter().map(|&i| FactId(i)).collect::<Vec<_>>();
-        for (third, expected) in [
-            (false, vec![ids(&[0, 1]), ids(&[0, 2])]),
-            (
-                true,
-                vec![
-                    ids(&[0, 1, 4]),
-                    ids(&[0, 1, 5]),
-                    ids(&[0, 2, 4]),
-                    ids(&[0, 2, 5]),
-                ],
-            ),
-        ] {
-            let rule = rebinding_rule(third);
-            let plan = JoinPlan::for_rule(&rule);
-            let mut db = rebinding_db();
-            let cold = match_cold(&db, &rule, &mut MatchMetrics::default());
-            let ms = match_all(&mut db, &rule);
-            for matches in [&cold, &ms] {
-                let premises: Vec<Vec<FactId>> =
-                    matches.iter().map(|m| m.premises.clone()).collect();
-                assert_eq!(premises, expected, "three atoms: {third}");
-                for m in matches {
-                    // The match carries the assignment's result.
-                    assert_eq!(m.bindings.get(Symbol::new("y")), Some(&Value::Int(2)));
-                }
-            }
-            // Every delta pivot enumerates the same matches.
-            for pivot in 0..plan.pivots.len() {
-                let chunk = MatchChunk::delta(pivot, 0);
-                let mut premises: Vec<Vec<FactId>> =
-                    match_chunk(&db, &rule, &plan, &chunk, &mut MatchMetrics::default())
-                        .unwrap()
-                        .into_iter()
-                        .map(|m| m.premises)
-                        .collect();
-                premises.sort();
-                assert_eq!(premises, expected, "pivot {pivot}, three atoms: {third}");
-            }
-        }
-    }
-
     #[test]
     fn post_aggregate_conditions_are_deferred() {
         let mut db = own_db();

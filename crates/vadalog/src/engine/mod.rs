@@ -733,6 +733,17 @@ fn join_plans(program: &Program) -> Vec<JoinPlan> {
     program.rules().iter().map(JoinPlan::for_rule).collect()
 }
 
+/// Adds one enumeration's matching work to its rule's counters:
+/// `enumerated` matches and the lookups `metrics` counted.
+fn count_matching(stats: &mut RuleStats, metrics: &MatchMetrics, enumerated: u64) {
+    stats.matches_enumerated += enumerated;
+    stats.index_probes += metrics.index_probes;
+    stats.scans += metrics.scans;
+    stats.composite_probes += metrics.composite_probes;
+    stats.negation_probes += metrics.negation_probes;
+    stats.negation_scans += metrics.negation_scans;
+}
+
 /// Every match of `rule` that touches a fact with id >= `watermark`: one
 /// pivot-first [`match_chunk`] per positive body atom, kept in pivot
 /// order. A match touching several new facts is produced by every pivot
@@ -934,13 +945,7 @@ impl<'p> Chase<'p> {
                 self.report.timings.match_ns += phase.match_ns;
                 self.report.timings.merge_ns += phase.merge_ns;
                 for (idx, metrics, enumerated) in &phase.rule_metrics {
-                    let stats = &mut self.report.rules[*idx];
-                    stats.index_probes += metrics.index_probes;
-                    stats.scans += metrics.scans;
-                    stats.composite_probes += metrics.composite_probes;
-                    stats.negation_probes += metrics.negation_probes;
-                    stats.negation_scans += metrics.negation_scans;
-                    stats.matches_enumerated += enumerated;
+                    count_matching(&mut self.report.rules[*idx], metrics, *enumerated);
                 }
                 self.report.peak.match_buffer = self.report.peak.match_buffer.max(phase.buffered);
                 if let Some((budget, observed)) = phase.interrupted {
@@ -1779,17 +1784,13 @@ impl<'p> Chase<'p> {
                 }
                 matches
             };
-            {
-                // Snapshot-phase matches were already counted at merge
-                // time; attribute only what this phase added.
-                let stats = &mut self.report.rules[idx];
-                stats.index_probes += metrics.index_probes;
-                stats.scans += metrics.scans;
-                stats.composite_probes += metrics.composite_probes;
-                stats.negation_probes += metrics.negation_probes;
-                stats.negation_scans += metrics.negation_scans;
-                stats.matches_enumerated += (matches.len() - phase_count) as u64;
-            }
+            // Snapshot-phase matches were already counted at merge time;
+            // attribute only what this phase added.
+            count_matching(
+                &mut self.report.rules[idx],
+                &metrics,
+                (matches.len() - phase_count) as u64,
+            );
             self.last_seen_len[idx] = current_len;
 
             // Canonicalize: drop matches over facts superseded by an

@@ -62,6 +62,14 @@ pub enum ProgramError {
         /// The offending variable.
         var: Symbol,
     },
+    /// An assignment's target is already bound, by a body atom or an
+    /// earlier assignment: a rule variable has one value per match.
+    RebindingAssignment {
+        /// The offending rule label.
+        rule: String,
+        /// The assigned variable.
+        var: Symbol,
+    },
     /// Two rules share the same label.
     DuplicateRuleLabel(String),
     /// A predicate is used with inconsistent arities.
@@ -100,6 +108,11 @@ impl fmt::Display for ProgramError {
                     rule, var
                 )
             }
+            ProgramError::RebindingAssignment { rule, var } => write!(
+                f,
+                "rule `{}`: assignment to `{}`, which is already bound",
+                rule, var
+            ),
             ProgramError::DuplicateRuleLabel(l) => write!(f, "duplicate rule label `{}`", l),
             ProgramError::ArityMismatch {
                 predicate,

@@ -42,11 +42,10 @@
 //! | `checkpoint.rename` | the atomic rename itself |
 //! | `checkpoint.read` | before reading a snapshot file |
 //! | `serve.worker` | before an explain worker evaluates a job (`crates/serve`) |
-//! | `serve.publish` | before a snapshot publish commits (`crates/serve`) |
 //! | `serve.handler` | top of every HTTP connection handler (`crates/serve`) |
 //!
 //! The `serve.*` points live outside this crate; they reach the armed
-//! plan through the public [`hit`] / [`io_hit`] hooks.
+//! plan through the public [`hit`] hook.
 
 /// Panic payload of a [`FaultKind::Crash`]: simulated process death.
 ///
@@ -306,15 +305,6 @@ pub fn hit(point: &'static str) {
     trigger(point)
 }
 
-/// Public I/O fault hook for instrumented points living outside this
-/// crate: returns the injected `std::io::Error` (or panics/stalls, for
-/// the other kinds) when the armed plan schedules a fault for this hit.
-/// Always `Ok` without the `faultpoints` feature.
-#[inline]
-pub fn io_hit(point: &'static str) -> std::io::Result<()> {
-    io(point)
-}
-
 #[cfg(all(test, feature = "faultpoints"))]
 mod tests {
     use super::*;
@@ -360,7 +350,7 @@ mod tests {
         let _armed = arm(FaultPlan::new().sleep_from("t.range", 2, 2, 20));
         let timed = |point| {
             let start = std::time::Instant::now();
-            assert!(io_hit(point).is_ok());
+            assert!(io(point).is_ok());
             start.elapsed()
         };
         assert!(timed("t.range") < std::time::Duration::from_millis(20)); // hit 1

@@ -6,8 +6,7 @@
 //! trip deadlines, lose workers?"; the flight recorder answers "*which
 //! request* did it to us, and what was the system doing around it?".
 //! The serving layer reports every notable transition here — sheds,
-//! deadline trips, worker panics and crashes, publish failures,
-//! degraded flips — each tagged with the [`TraceContext`] current on
+//! deadline trips, worker panics and crashes — each tagged with the [`TraceContext`] current on
 //! the reporting thread. Events rated [`Severity::Failure`] freeze a
 //! [`FlightSnapshot`] of the recent span ring and event log, so the
 //! evidence survives even as the rings keep rolling; `GET /debug/flight`
@@ -67,8 +66,7 @@ pub struct FlightEvent {
     /// Nanoseconds since the process trace epoch (same axis as spans).
     pub ts_ns: u64,
     /// Stable machine-readable kind (`shed`, `deadline_trip`,
-    /// `worker_panic`, `publish_failure`, `degraded`, `recovered`,
-    /// `request`, ...).
+    /// `worker_panic`, `request`, ...).
     pub kind: &'static str,
     /// Human-readable specifics.
     pub detail: String,

@@ -21,8 +21,8 @@
 //!   derived from deterministic run telemetry, so their values are
 //!   bitwise identical at any worker-thread count.
 //! * [`flight`] — the always-on bounded [`FlightRecorder`]: recent
-//!   spans, structured events (sheds, deadline trips, worker panics,
-//!   publish failures, degraded flips) and slow queries, snapshot
+//!   spans, structured events (sheds, deadline trips, worker panics)
+//!   and slow queries, snapshot
 //!   atomically on every failure event and served on `/debug/flight`
 //!   and `/debug/slow`.
 //! * [`chrome`] — renders collected spans as Chrome `trace_event` JSON

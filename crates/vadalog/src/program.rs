@@ -159,6 +159,8 @@ fn validate_rule(rule: &Rule) -> Result<(), ProgramError> {
     let body_vars: HashSet<Symbol> = rule.body_variables().into_iter().collect();
 
     // Assignments may chain; bound set grows as we walk them in order.
+    // Each binds a fresh variable: one already bound would need a
+    // second value in its one slot.
     let mut bound = body_vars.clone();
     for a in &rule.assignments {
         let mut used = Vec::new();
@@ -171,7 +173,12 @@ fn validate_rule(rule: &Rule) -> Result<(), ProgramError> {
                 });
             }
         }
-        bound.insert(a.var);
+        if !bound.insert(a.var) {
+            return Err(ProgramError::RebindingAssignment {
+                rule: rule.label.clone(),
+                var: a.var,
+            });
+        }
     }
 
     if let Some(agg) = &rule.aggregate {
@@ -383,6 +390,40 @@ mod tests {
             )
             .head(Atom::new("q", vec![Term::var("b")]))];
         assert!(Program::new(rules).is_ok());
+    }
+
+    #[test]
+    fn assignments_to_bound_variables_are_rejected() {
+        let plus_one = |v: &str| {
+            Expr::binary(
+                crate::expr::ArithOp::Add,
+                Expr::var(v),
+                Expr::constant(1i64),
+            )
+        };
+        // `p(x, y), y = y + 1`: the target is a body variable.
+        let body_var = RuleBuilder::new("body")
+            .body(Atom::new("p", vec![Term::var("x"), Term::var("y")]))
+            .assign("y", plus_one("y"))
+            .head(Atom::new("q", vec![Term::var("x"), Term::var("y")]));
+        // `p(x), a = x + 1, a = a + 1`: the target is an earlier
+        // assignment's variable.
+        let assigned_var = RuleBuilder::new("twice")
+            .body(Atom::new("p", vec![Term::var("x")]))
+            .assign("a", plus_one("x"))
+            .assign("a", plus_one("a"))
+            .head(Atom::new("q", vec![Term::var("a")]));
+        for (rule, label, var) in [(body_var, "body", "y"), (assigned_var, "twice", "a")] {
+            let err = Program::new(vec![rule]).unwrap_err();
+            assert_eq!(
+                err,
+                ProgramError::RebindingAssignment {
+                    rule: label.into(),
+                    var: Symbol::new(var),
+                }
+            );
+            assert!(err.to_string().contains(&format!("`{var}`")), "{err}");
+        }
     }
 
     #[test]

@@ -287,11 +287,9 @@ impl RuleLayout {
     /// The layouts of `rule`.
     pub fn of(rule: &Rule) -> RuleLayout {
         let mut vars = rule.body_variables();
-        for a in &rule.assignments {
-            if !vars.contains(&a.var) {
-                vars.push(a.var);
-            }
-        }
+        // Program validation makes every assignment target a fresh
+        // variable.
+        vars.extend(rule.assignments.iter().map(|a| a.var));
         let matched = Layout::new(&vars);
         let (step, group_slots) = match &rule.aggregate {
             Some(agg) => {
