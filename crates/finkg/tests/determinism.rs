@@ -4,6 +4,8 @@
 //! assignment, and isomorphic chase graphs (derivation-for-derivation
 //! equal, in recording order — stronger than isomorphism).
 
+mod reference;
+
 use finkg::apps::{close_links, control, golden_power, simple_stress, stress};
 use finkg::scenario;
 use std::sync::Arc;
@@ -151,13 +153,13 @@ fn seeded_stress_bundle_is_thread_invariant() {
 }
 
 /// Semi-naive evaluation — aggregate rules included, whose kept groups
-/// re-fold only when they gain or lose a contributor — is bitwise
-/// identical to the naive full re-match at 1, 2 and 8 threads. The
-/// cases cover multi-contributor groups (the jointly held links of
+/// re-fold only when they gain or lose a contributor — matches the
+/// reference chase of `reference/` at 1, 2 and 8 threads. The cases
+/// cover multi-contributor groups (the jointly held links of
 /// `control_bundle_aggregated`) and supersession (the stress test's
 /// growing `risk` sums, which `o7` sums again per company).
 #[test]
-fn semi_naive_matches_the_naive_reference_on_aggregate_programs() {
+fn aggregate_programs_match_the_reference() {
     let mut cases: Vec<(String, Program, Database)> = Vec::new();
     for (hops, seed) in [(2usize, 1u64), (5, 7), (8, 13)] {
         let bundle = finkg::generator::control_bundle_aggregated(hops, 4, seed);
@@ -176,27 +178,12 @@ fn semi_naive_matches_the_naive_reference_on_aggregate_programs() {
             finkg::random_debt_network(n, 3, 5, seed),
         ));
     }
-    let config = ChaseConfig::default();
     let (mut multi_contributor, mut superseded) = (false, false);
     for (name, program, db) in &cases {
-        let naive = ChaseSession::new(program)
-            .with_config(config.clone().with_semi_naive(false).with_threads(1))
-            .run(db.clone())
-            .unwrap_or_else(|e| panic!("{name}: naive chase failed: {e}"));
-        multi_contributor |= naive.graph.derivations().iter().any(|d| d.contributors > 1);
-        superseded |= naive.database.inactive_count() > 0;
-        let expected = fingerprint(&naive);
-        for threads in [1usize, 2, 8] {
-            let semi = ChaseSession::new(program)
-                .with_config(config.clone().with_threads(threads))
-                .run(db.clone())
-                .unwrap_or_else(|e| panic!("{name}: chase at {threads} threads failed: {e}"));
-            assert_eq!(
-                fingerprint(&semi),
-                expected,
-                "{name}: semi-naive diverged from naive at {threads} threads"
-            );
-        }
+        let outcomes = reference::assert_engine_matches(name, program, db, &ChaseConfig::default());
+        let out = &outcomes[0];
+        multi_contributor |= out.graph.derivations().iter().any(|d| d.contributors > 1);
+        superseded |= out.database.inactive_count() > 0;
     }
     assert!(multi_contributor, "no case folds a multi-contributor group");
     assert!(superseded, "no case supersedes an aggregate");

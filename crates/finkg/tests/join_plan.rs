@@ -1,79 +1,31 @@
-//! Equivalence and determinism suite for the planned join: semi-naive
-//! evaluation (pivot-first delta expansions over composite-index probes)
-//! and the naive full re-match reference must produce the same outcome —
-//! bitwise-identical fact stores, `FactId` assignment and derivation
-//! logs — at 1, 2 and 8 worker threads, on seeded finkg bundles and on
-//! randomized programs with negation, aggregation and existentials. The
-//! probes themselves are checked against the scan they replace by the
-//! randomized index test of `vadalog`'s `database` module.
+//! Equivalence and determinism suite for the planned join: the engine
+//! (pivot-first delta expansions over composite-index probes) must
+//! produce the outcome of the independent reference chase of
+//! `reference/` — bitwise-identical fact stores, `FactId` assignment and
+//! derivation logs — at 1, 2 and 8 worker threads, on seeded finkg
+//! bundles and on randomized programs with negation, aggregation and
+//! existentials. The probes themselves are checked against the scan they
+//! replace by the randomized index test of `vadalog`'s `database` module.
+
+mod reference;
 
 use finkg::apps::{control, golden_power, stress};
 use finkg::scenario;
 use proptest::prelude::*;
-use vadalog::{parse_program, ChaseConfig, ChaseOutcome, ChaseSession, Database, Program, Value};
+use vadalog::{parse_program, ChaseConfig, ChaseSession, Database, Program, Value};
 
-const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
-
-/// The two configurations under comparison. Outcomes — not counters —
-/// are required to agree across them: the naive reference re-matches
-/// every rule in full each round by design.
-fn configs() -> [(&'static str, ChaseConfig); 2] {
-    [
-        ("semi_naive", ChaseConfig::default()),
-        ("naive", ChaseConfig::default().with_semi_naive(false)),
-    ]
-}
-
-/// Full structural fingerprint: every fact in id order with its activity
-/// flag, every derivation in recording order, rounds and violations.
-fn fingerprint(out: &ChaseOutcome) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    for (id, fact) in out.database.iter() {
-        let _ = writeln!(s, "{id} {fact} active={}", out.database.is_active(id));
-    }
-    for d in out.graph.derivations() {
-        let _ = writeln!(
-            s,
-            "r{} {:?} -> {} round={} contrib={}",
-            d.rule.0, d.premises, d.conclusion, d.round, d.contributors
-        );
-    }
-    let _ = write!(s, "rounds={} violations={:?}", out.rounds, out.violations);
-    s
-}
-
-/// Chases `db` under every config × thread combination and asserts:
-/// one structural fingerprint across all of them, and one
-/// `count_fingerprint()` per config across its thread sweep.
+/// Chases `db` at 1, 2 and 8 threads and asserts: every outcome equal to
+/// the reference chase's, and one `count_fingerprint()` across the
+/// thread sweep.
 fn assert_plan_equivalent(name: &str, program: &Program, db: &Database) {
-    let mut expected: Option<String> = None;
-    for (config_name, config) in configs() {
-        let mut counters: Option<String> = None;
-        for threads in THREAD_SWEEP {
-            let out = ChaseSession::new(program)
-                .with_config(config.clone().with_threads(threads))
-                .run(db.clone())
-                .unwrap_or_else(|e| {
-                    panic!("{name}/{config_name}: chase at {threads} threads failed: {e}")
-                });
-            let fp = fingerprint(&out);
-            match &expected {
-                Some(reference) => assert_eq!(
-                    &fp, reference,
-                    "{name}/{config_name}: matches diverged at {threads} threads"
-                ),
-                None => expected = Some(fp),
-            }
-            let counts = out.report.count_fingerprint();
-            match &counters {
-                Some(reference) => assert_eq!(
-                    &counts, reference,
-                    "{name}/{config_name}: counters diverged at {threads} threads"
-                ),
-                None => counters = Some(counts),
-            }
-        }
+    let outcomes = reference::assert_engine_matches(name, program, db, &ChaseConfig::default());
+    let counters = outcomes[0].report.count_fingerprint();
+    for (out, threads) in outcomes.iter().zip(reference::THREADS) {
+        assert_eq!(
+            out.report.count_fingerprint(),
+            counters,
+            "{name}: counters diverged at {threads} threads"
+        );
     }
 }
 
@@ -152,8 +104,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// On a randomized recursive program with negation and aggregation,
-    /// semi-naive evaluation produces the same outcome as the naive
-    /// reference, at 1, 2 and 8 threads.
+    /// the engine produces the reference chase's outcome at 1, 2 and 8
+    /// threads.
     #[test]
     fn random_programs_are_plan_invariant(
         inputs in prop::collection::vec((0u8..10, 0u8..10, 30u8..100), 0..18),

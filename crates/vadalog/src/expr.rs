@@ -214,6 +214,9 @@ fn apply_arith(op: ArithOp, l: Value, r: Value) -> Result<Value, EvalError> {
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            // Quoted like an atom's string constant, so the text parses
+            // back to the constant rather than to a variable.
+            Expr::Const(Value::Str(s)) => write!(f, "{:?}", s.as_str()),
             Expr::Const(v) => write!(f, "{}", v),
             Expr::Var(v) => write!(f, "{}", v),
             Expr::Binary { op, left, right } => {

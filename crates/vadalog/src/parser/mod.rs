@@ -630,6 +630,19 @@ mod tests {
         assert_eq!(parsed.program.rules()[0].conditions.len(), 1);
     }
 
+    /// Regression: a condition printed a string constant unquoted, so
+    /// `t == "long"` printed as `t == long` and parsed back as a
+    /// comparison with a variable, which validation rejects.
+    #[test]
+    fn string_constants_in_conditions_print_quoted() {
+        let text = r#"r: risk(c, e, t), t == "long", m = e + 1, m != "x" -> long_risk(c, e)."#;
+        let program = parse_program(text).unwrap().program;
+        let printed = program.to_string();
+        assert!(printed.contains(r#"t == "long""#), "{printed}");
+        let reparsed = parse_program(&printed).unwrap().program;
+        assert_eq!(program.rules(), reparsed.rules());
+    }
+
     #[test]
     fn stress_test_program_round_trips() {
         let text = r#"
