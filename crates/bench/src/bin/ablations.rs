@@ -9,21 +9,18 @@
 //!    spine-only covering.
 //! 4. **User-model sensitivity**: comprehension accuracy as the simulated
 //!    reader's slip probability varies (the study's robustness).
-//! 5. **Semi-naive evaluation**: chase wall-time with and without delta
-//!    evaluation.
 
 use explain::{Explainer, ProgramArtifacts, TemplateFlavor};
 use finkg::apps::control;
 use llm_sim::retained_ratio;
 use studies::comprehension::{run as run_comprehension, ComprehensionConfig};
 use studies::proof_constants;
-use vadalog::{ChaseConfig, ChaseSession, DerivationPolicy};
+use vadalog::{ChaseSession, DerivationPolicy};
 
 fn main() {
     ablation_policy();
     ablation_flavor();
     ablation_sensitivity();
-    ablation_semi_naive();
 }
 
 /// Derivation policy: on joint-control workloads, the `Earliest` policy
@@ -119,44 +116,4 @@ fn ablation_sensitivity() {
     }
     println!("  (chance level with three candidates: 33.3%)");
     println!();
-}
-
-/// Semi-naive on/off: chase wall-time on deep recursive workloads.
-fn ablation_semi_naive() {
-    println!("== Ablation 5: semi-naive evaluation (chase wall-time) ==");
-    // Company control recurses through an aggregate: semi-naive
-    // evaluation keeps its groups across rounds and re-folds only the
-    // groups a round's delta touches, where the naive path re-matches and
-    // re-folds every group. The close-link program recurses through a
-    // plain rule.
-    let close = finkg::apps::close_links::program();
-    let control_p = control::program();
-    for (name, program, db) in [
-        (
-            "company control (aggregate recursion), 300 companies",
-            &control_p,
-            finkg::random_ownership(300, 3, 7),
-        ),
-        (
-            "close links (plain recursion), 250 companies",
-            &close,
-            finkg::random_ownership(250, 4, 9),
-        ),
-    ] {
-        for semi_naive in [true, false] {
-            let cfg = ChaseConfig::default().with_semi_naive(semi_naive);
-            let t0 = std::time::Instant::now();
-            let out = ChaseSession::new(program)
-                .with_config(cfg)
-                .run(db.clone())
-                .expect("chase");
-            let dt = t0.elapsed();
-            println!(
-                "  {name}: semi-naive {}  -> {:>8.2} ms ({} derived facts)",
-                if semi_naive { "on " } else { "off" },
-                dt.as_secs_f64() * 1e3,
-                out.derived_facts
-            );
-        }
-    }
 }

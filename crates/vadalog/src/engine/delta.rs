@@ -144,9 +144,9 @@ pub enum DeltaStrategy {
     Incremental,
     /// A from-scratch chase on the updated EDB: the program uses
     /// aggregates or existential invention (whose supersession/invention
-    /// state is not incrementally maintainable), the session disables
-    /// `semi_naive` or restricts the run to a goal cone, or the live
-    /// store carries deactivated facts.
+    /// state is not incrementally maintainable), the session restricts
+    /// the run to a goal cone, or the live store carries deactivated
+    /// facts.
     FullRechase,
 }
 
@@ -314,17 +314,15 @@ fn updated_edb(live: &ChaseOutcome, net: &NetDelta) -> Vec<Fact> {
     edb
 }
 
-/// True iff the incremental strategy applies: semi-naive evaluation
-/// with neither aggregates (supersession state) nor
-/// existential invention (null counters) to maintain, over a store with
-/// no deactivated facts. Goal-cone-restricted sessions
+/// True iff the incremental strategy applies: neither aggregates
+/// (supersession state) nor existential invention (null counters) to
+/// maintain, over a store with no deactivated facts. Goal-cone-restricted sessions
 /// ([`ChaseConfig::goal_cone`]) also fall back: the maintenance loops
 /// re-match every rule, which would fire rules outside the cone; the
 /// full re-chase honours the cone and is itself pruned, so the fallback
 /// stays cheap exactly when the cone is sharp.
 fn incremental_eligible(program: &Program, config: &ChaseConfig, live: &ChaseOutcome) -> bool {
-    config.semi_naive
-        && config.goal_cone.is_none()
+    config.goal_cone.is_none()
         && live.database.inactive_count() == 0
         && program
             .rules()

@@ -309,7 +309,7 @@ pub struct RuleStats {
     /// The rule's label.
     pub label: String,
     /// Body matches enumerated for the rule (snapshot phase, top-up and
-    /// ablation re-matches), before canonicalization.
+    /// full re-matches), before canonicalization.
     pub matches_enumerated: u64,
     /// Chase steps fired (head instantiations attempted after grouping
     /// and the restricted-chase check).

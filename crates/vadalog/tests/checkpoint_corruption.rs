@@ -239,14 +239,70 @@ fn a_snapshot_of_a_different_program_is_a_fingerprint_mismatch() {
         load(&path, &other, &config),
         Err(CheckpointError::FingerprintMismatch { .. })
     ));
-    // A semantics-affecting config difference is an equally foreign
-    // snapshot; thread count is not.
+    // Thread count is not part of the fingerprint; the goal cone is.
     let (path, _, program, config) = snapshot("config.ckpt");
+    assert!(load(&path, &program, &config.clone().with_threads(7)).is_ok());
     assert!(matches!(
-        load(&path, &program, &config.clone().with_semi_naive(false)),
+        load(&path, &program, &config.clone().with_goal_cone("control")),
         Err(CheckpointError::FingerprintMismatch { .. })
     ));
-    assert!(load(&path, &program, &config.clone().with_threads(7)).is_ok());
+}
+
+/// Every fact with its liveness and every derivation, in order.
+fn shape(out: &ChaseOutcome) -> String {
+    let facts = out
+        .database
+        .iter()
+        .map(|(id, f)| format!("{id} {f} {}", out.database.is_active(id)));
+    let steps = out.graph.derivations().iter().map(|d| {
+        format!(
+            "r{} {:?} -> {} round={}",
+            d.rule.0, d.premises, d.conclusion, d.round
+        )
+    });
+    facts.chain(steps).collect::<Vec<_>>().join("\n")
+}
+
+/// A run pruned to a goal cone skips the rules outside it, so its
+/// snapshot is foreign to an unpruned session: resumed there, it would
+/// complete without ever running the pruned rules of its finished
+/// strata (`p("A")`, `p("B")` here). Under the same cone it resumes to
+/// the uninterrupted pruned run.
+#[test]
+fn a_snapshot_of_a_pruned_run_resumes_only_under_its_cone() {
+    let parsed = parse_program(
+        r#"
+        a: e(x) -> p(x).
+        c: f(x), not h(x) -> q(x).
+        d: q(x), g(x, y) -> q(y).
+        e("A"). e("B"). f("1"). g("1", "2"). g("2", "3"). g("3", "4").
+    "#,
+    )
+    .unwrap();
+    let program = &parsed.program;
+    let db: Database = parsed.facts.iter().cloned().collect();
+    let pruned = ChaseConfig::default().with_goal_cone("q");
+    let tripped = ChaseSession::new(program)
+        .with_config(pruned.clone())
+        .with_guard(RunGuard::new().with_max_rounds(2));
+    let Err(ChaseError::ResourceExhausted { partial, .. }) = tripped.run(db.clone()) else {
+        panic!("the 2-round guard trips the pruned run");
+    };
+    let path = tmp("pruned.ckpt");
+    tripped.checkpoint_to(&partial, &path).unwrap();
+    assert!(matches!(
+        load(&path, program, &ChaseConfig::default()),
+        Err(CheckpointError::FingerprintMismatch { .. })
+    ));
+    assert!(matches!(
+        load(&path, program, &ChaseConfig::default().with_goal_cone("p")),
+        Err(CheckpointError::FingerprintMismatch { .. })
+    ));
+
+    let session = ChaseSession::new(program).with_config(pruned);
+    let resumed = session.resume_from_path(&path).unwrap();
+    let uninterrupted = session.run(db).unwrap();
+    assert_eq!(shape(&resumed), shape(&uninterrupted));
 }
 
 #[test]

@@ -218,163 +218,6 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------
-// Semi-naive vs naive equivalence
-// ---------------------------------------------------------------------
-
-/// A structural fingerprint with full provenance: [`outcome_fingerprint`]
-/// plus violations and, per derivation, its head bindings and each
-/// contributor's bindings in contributor order (variables sorted by name).
-fn provenance_fingerprint(out: &ChaseOutcome) -> String {
-    use std::fmt::Write;
-    let sorted = |b: RowRef<'_>| {
-        let mut pairs: Vec<String> = b.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        pairs.sort();
-        pairs.join(",")
-    };
-    let mut s = outcome_fingerprint(out);
-    let _ = writeln!(s, " violations={:?}", out.violations);
-    for d in out.graph.derivations() {
-        let _ = write!(s, "[{}]", sorted(d.bindings.view()));
-        for c in &d.contributor_bindings {
-            let _ = write!(s, " <{}>", sorted(c));
-        }
-        let _ = writeln!(s);
-    }
-    s
-}
-
-/// Asserts the semi-naive chase of `build()` bitwise equal to the naive
-/// (full re-match) reference at 1, 2 and 8 threads.
-fn assert_semi_naive_equals_naive(program: &Program, build: impl Fn() -> Database) {
-    let naive_cfg = ChaseConfig::default().with_semi_naive(false);
-    let naive = ChaseSession::new(program)
-        .with_config(naive_cfg.with_threads(1))
-        .run(build())
-        .unwrap();
-    let expected = provenance_fingerprint(&naive);
-    for threads in [1usize, 2, 8] {
-        let semi = ChaseSession::new(program)
-            .with_threads(threads)
-            .run(build())
-            .unwrap();
-        assert_eq!(provenance_fingerprint(&semi), expected, "threads={threads}");
-    }
-}
-
-/// A downstream aggregate grouping by an upstream aggregate's result. In
-/// round 2 `u` supersedes `tot("a", 1)` by `tot("a", 4)`, which `d`'s
-/// `s < 3` filters out: `d`'s group `s = 1` loses a contributor without
-/// gaining one, and must still be re-folded from 2 to 1.
-#[test]
-fn semi_naive_refolds_groups_that_only_lose_contributors() {
-    let parsed = parse_program(
-        r#"
-        u: p(x, v), s = sum(v) -> tot(x, s).
-        d: tot(x, s), s < 3, n = count(x) -> small(s, n).
-        g: q(x, v) -> r(x, v).
-        h: r(x, v) -> p(x, v).
-        p("a", 1). p("b", 1). q("a", 3).
-    "#,
-    )
-    .unwrap();
-    let build = || parsed.facts.iter().cloned().collect::<Database>();
-    assert_semi_naive_equals_naive(&parsed.program, build);
-
-    let out = ChaseSession::new(&parsed.program).run(build()).unwrap();
-    let small = |n: i64| {
-        out.lookup(&Fact::new("small", vec![Value::Int(1), Value::Int(n)]))
-            .unwrap_or_else(|| panic!("small(1, {n}) derived"))
-    };
-    assert!(!out.database.is_active(small(2)));
-    assert!(out.database.is_active(small(1)));
-}
-
-/// Aggregate groups whose step the restricted-chase check pre-empted by a
-/// fact that is superseded later. The group itself never changes, yet the
-/// full re-match fires it again and derives a fresh fact, so skipping
-/// unchanged groups would leave its aggregate without an active fact.
-/// First shape: `r2`'s step `q(3, _)` is pre-empted by `r1`'s, which a
-/// later `b(4)` re-folds from 3 to 7. Second shape, within one rule: the
-/// groups `y = 0` and `y = 1` differ only in a post-condition variable
-/// outside the head, and `e("a", 0, 4)` re-folds the first from 3 to 7.
-#[test]
-fn semi_naive_refires_groups_preempted_by_a_superseded_fact() {
-    let programs = [
-        r#"
-        r1: b(v), t = sum(v) -> q(t, z).
-        r2: a(v), s = sum(v) -> q(s, z).
-        x2: d(v) -> b(v).
-        x1: c(v) -> d(v).
-        b(3). a(3). c(4).
-    "#,
-        r#"
-        r: p(x, y, v), s = sum(v), s > y -> q(x, s, z).
-        c: e(x, y, v) -> p(x, y, v).
-        p("a", 0, 3). p("a", 1, 3). e("a", 0, 4).
-    "#,
-    ];
-    for source in programs {
-        let parsed = parse_program(source).unwrap();
-        let build = || parsed.facts.iter().cloned().collect::<Database>();
-        assert_semi_naive_equals_naive(&parsed.program, build);
-
-        let out = ChaseSession::new(&parsed.program).run(build()).unwrap();
-        let q = Symbol::new("q");
-        let mut sums: Vec<Value> = out
-            .database
-            .iter()
-            .filter(|(id, f)| f.predicate == q && out.database.is_active(*id))
-            .map(|(_, f)| f.values[f.values.len() - 2])
-            .collect();
-        sums.sort_by_key(|v| v.to_string());
-        assert_eq!(sums, [Value::Int(3), Value::Int(7)], "{source}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Semi-naive evaluation is bitwise identical to naive re-evaluation
-    /// — fact ids, liveness, derivations with their rounds and
-    /// contributor order — on recursive programs with aggregation and
-    /// negation, at any thread count. `o6` and `o7` share an existential
-    /// head, so a step of `o6` can pre-empt one of `o7` until a re-fold
-    /// of `o6` supersedes it.
-    #[test]
-    fn semi_naive_equals_naive(
-        inputs in prop::collection::vec((0u8..10, 0u8..10, 30u8..100), 0..18),
-    ) {
-        let program = parse_program(
-            "o1: own(x, y, s), s > 0.5 -> control(x, y).
-             o2: company(x) -> control(x, x).
-             o3: control(x, z), own(z, y, s), ts = sum(s), ts > 0.5 -> control(x, y).
-             o4: company(x), not controlled(x) -> top(x).
-             o5: control(x, y), x != y -> controlled(y).
-             o6: control(x, y), t = count(y) -> reach(x, t, n).
-             o7: own(x, y, s), t = count(y) -> reach(x, t, n).",
-        )
-        .unwrap()
-        .program;
-        let build = || {
-            let mut db = Database::new();
-            for i in 0..10u8 {
-                db.add("company", &[format!("c{i}").as_str().into()]);
-            }
-            for (a, b, s) in &inputs {
-                if a == b { continue; }
-                db.add("own", &[
-                    format!("c{a}").as_str().into(),
-                    format!("c{b}").as_str().into(),
-                    Value::Float(f64::from(*s) / 100.0),
-                ]);
-            }
-            db
-        };
-        assert_semi_naive_equals_naive(&program, build);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
