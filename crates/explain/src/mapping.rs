@@ -153,7 +153,8 @@ fn best_match(
 ///
 /// Spine steps are consumed greedily while their rule belongs to the
 /// path's remaining rules and the aggregation mode agrees (a step with
-/// more than one contributor requires the dashed variant and vice versa).
+/// more than one contributor requires the dashed variant and vice versa),
+/// then given back down to the last one the path's sink derives.
 /// Remaining path rules must then be backed by side derivations of the
 /// consumed steps; otherwise the path does not instantiate this segment.
 pub fn match_path_at(
@@ -186,6 +187,13 @@ pub fn match_path_at(
         }
         assignments.insert(occ, step.derivation);
         pos += 1;
+    }
+    // A piece ends on its path's sink: the next piece starts where this
+    // path's conclusion leaves off. Steps consumed past the last sink go
+    // back to the following pieces.
+    while pos > start && steps[pos - 1].rule != path.sink() {
+        pos -= 1;
+        assignments.retain(|_, &mut d| d != steps[pos].derivation);
     }
     let consumed = pos - start;
     if consumed == 0 {
@@ -502,5 +510,61 @@ mod cover_from_tests {
         assert!(c.pieces.is_empty());
         let c = cover_from(&program, &analysis, &out.graph, &steps, steps.len() + 5).unwrap();
         assert!(c.pieces.is_empty());
+    }
+
+    /// The stress test's default cascade A → B → C → D, where C defaults
+    /// on two risks (B's short-term debt and E's long-term debt):
+    /// τ = o4 o6 o7 o6 o7* o5 o7. The cycle `{o5,o6,o7}*` matches steps
+    /// 3–5 greedily, but a piece must end on its path's sink: it takes
+    /// `o6 o7*`, backs `o5` with the side derivation of E's long risk,
+    /// and leaves `o5 o7` to `{o5,o7}`. Ending it on `o5` left step 6
+    /// without a cover.
+    #[test]
+    fn cover_pieces_end_on_their_paths_sink() {
+        let parsed = parse_program(
+            r#"
+            o4: shock(f, s), has_capital(f, p1), s > p1 -> default(f).
+            o5: default(d), long_term_debts(d, c, v), el = sum(v) -> risk(c, el, "long").
+            o6: default(d), short_term_debts(d, c, v), es = sum(v) -> risk(c, es, "short").
+            o7: risk(c, e, t), has_capital(c, p2), l = sum(e), l > p2 -> default(c).
+
+            shock("A", 10). has_capital("A", 5). shock("E", 10). has_capital("E", 5).
+            short_term_debts("A", "B", 3). has_capital("B", 2).
+            short_term_debts("B", "C", 2). long_term_debts("E", "C", 2). has_capital("C", 3).
+            long_term_debts("C", "D", 5). has_capital("D", 1).
+        "#,
+        )
+        .unwrap();
+        let program = &parsed.program;
+        let analysis = crate::structural::analyze(program, "default").unwrap();
+        let db: Database = parsed.facts.into_iter().collect();
+        let out = ChaseSession::new(program).run(db).unwrap();
+        let id = out.lookup(&Fact::new("default", vec!["D".into()])).unwrap();
+        let proof = out.graph.proof(id, DerivationPolicy::Richest);
+        let tau = proof.linearize(&out.graph);
+        let steps = step_infos(&out.graph, &tau, DerivationPolicy::Richest);
+        let rules: Vec<String> = steps
+            .iter()
+            .map(|s| {
+                let star = if s.contributors > 1 { "*" } else { "" };
+                format!("{}{star}", program.rule(s.rule).label)
+            })
+            .collect();
+        assert_eq!(rules, ["o4", "o6", "o7", "o6", "o7*", "o5", "o7"]);
+
+        let c = cover(program, &analysis, &out.graph, &steps).unwrap();
+        let pieces: Vec<(String, usize)> = c
+            .pieces
+            .iter()
+            .map(|p| (analysis.paths[p.path_index].label(program), p.consumed))
+            .collect();
+        assert_eq!(
+            pieces,
+            [
+                ("{o4,o6,o7}".to_string(), 3),
+                ("{o5,o6,o7}*".to_string(), 2),
+                ("{o5,o7}".to_string(), 2),
+            ]
+        );
     }
 }

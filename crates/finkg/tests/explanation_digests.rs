@@ -46,10 +46,10 @@ const PINS: &[Pin] = &[
     ("stress/scenario", "enhanced", "earliest", 0x72a26c5f346e99a0, 4),
     ("stress/scenario", "deterministic", "richest", 0x2e9cdc666ab1c6fd, 4),
     ("stress/scenario", "deterministic", "earliest", 0x2e9cdc666ab1c6fd, 4),
-    ("stress/random_debt_network(40,3,5,7)", "enhanced", "richest", 0xc9f5a3ad6a63845f, 16),
-    ("stress/random_debt_network(40,3,5,7)", "enhanced", "earliest", 0xc9f5a3ad6a63845f, 16),
-    ("stress/random_debt_network(40,3,5,7)", "deterministic", "richest", 0xf59438e0bdb20c1e, 16),
-    ("stress/random_debt_network(40,3,5,7)", "deterministic", "earliest", 0xf59438e0bdb20c1e, 16),
+    ("stress/random_debt_network(40,3,5,7)", "enhanced", "richest", 0xe035cce4dd005685, 16),
+    ("stress/random_debt_network(40,3,5,7)", "enhanced", "earliest", 0xe035cce4dd005685, 16),
+    ("stress/random_debt_network(40,3,5,7)", "deterministic", "richest", 0x48e752f6c01410d5, 16),
+    ("stress/random_debt_network(40,3,5,7)", "deterministic", "earliest", 0x48e752f6c01410d5, 16),
     ("simple_stress/figure8", "enhanced", "richest", 0x626b87494224f446, 3),
     ("simple_stress/figure8", "enhanced", "earliest", 0x626b87494224f446, 3),
     ("simple_stress/figure8", "deterministic", "richest", 0x9b464a8b60a56531, 3),

@@ -82,11 +82,20 @@ fn random_ownership_graphs_always_explain_cleanly() {
 
 #[test]
 fn random_debt_networks_always_explain_cleanly() {
-    for seed in 0..5u64 {
-        let db = finkg::random_debt_network(25, 3, 3, seed);
+    // The 40-company networks have long cascades whose proofs cross
+    // several reasoning cycles; every derived default must explain.
+    let small = (0..5u64).map(|seed| (25, 3, seed));
+    let large = (5..10u64).map(|seed| (40, 5, seed));
+    for (companies, shocks, seed) in small.chain(large) {
+        let db = finkg::random_debt_network(companies, 3, shocks, seed);
         let es = explain_all(stress::program(), stress::GOAL, &stress::glossary(), db);
         for e in es {
-            assert!(!e.text.contains('<'), "seed {seed}, {}: {}", e.fact, e.text);
+            assert!(
+                !e.text.contains('<'),
+                "{companies} companies, seed {seed}, {}: {}",
+                e.fact,
+                e.text
+            );
         }
     }
 }
