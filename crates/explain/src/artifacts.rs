@@ -24,11 +24,12 @@ use crate::enhance::{checked_enhance, Enhancer};
 use crate::error::ExplainError;
 use crate::glossary::DomainGlossary;
 use crate::mapping::{cover_from, instantiate, step_infos, PathCover};
-use crate::structural::{analyze_with, AnalysisConfig, StructuralAnalysis};
+use crate::structural::{analyze, StructuralAnalysis};
 use crate::template::{generate, single_rule_path, Template, TemplateStyle};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+use vadalog::checkpoint::Fnv1a;
 use vadalog::telemetry::{JsonWriter, RunGuard};
 use vadalog::{
     ChaseConfig, ChaseOutcome, DerivationId, DerivationPolicy, Fact, FactId, GoalCone, Program,
@@ -70,7 +71,6 @@ impl ProgramArtifacts {
             glossary: None,
             enhancer: None,
             guard: RunGuard::default(),
-            analysis: AnalysisConfig::default(),
         }
     }
 
@@ -300,7 +300,6 @@ pub struct ArtifactsBuilder<'a> {
     glossary: Option<&'a DomainGlossary>,
     enhancer: Option<(&'a dyn Enhancer, u32)>,
     guard: RunGuard,
-    analysis: AnalysisConfig,
 }
 
 impl std::fmt::Debug for ArtifactsBuilder<'_> {
@@ -346,14 +345,8 @@ impl<'a> ArtifactsBuilder<'a> {
         self
     }
 
-    /// Overrides the structural-analysis configuration (path caps).
-    pub fn with_analysis_config(mut self, config: AnalysisConfig) -> ArtifactsBuilder<'a> {
-        self.analysis = config;
-        self
-    }
-
     /// The build's cache fingerprint: FNV-1a over the program text, the
-    /// goal, the analysis caps and the glossary text. `None` when the
+    /// goal and the glossary text. `None` when the
     /// build cannot be keyed — an opaque enhancer is attached, or a
     /// deadline/cancellation guard demands exact trip semantics.
     pub fn fingerprint(&self) -> Option<u64> {
@@ -363,8 +356,6 @@ impl<'a> ArtifactsBuilder<'a> {
         let mut h = Fnv1a::new();
         h.write(self.program.to_string().as_bytes());
         h.write(self.goal.as_bytes());
-        h.write(&self.analysis.max_path_rules.to_le_bytes());
-        h.write(&self.analysis.max_paths.to_le_bytes());
         if let Some(g) = self.glossary {
             h.write(g.to_text().as_bytes());
         }
@@ -395,7 +386,7 @@ impl<'a> ArtifactsBuilder<'a> {
                     "Structural analyses actually executed (cache misses and uncached builds).",
                 )
                 .inc();
-            analyze_with(&self.program, &self.goal, &self.analysis)?
+            analyze(&self.program, &self.goal)?
         };
         report.analysis_ns = t.elapsed().as_nanos() as u64;
         report.paths = analysis.paths.len() as u64;
@@ -843,27 +834,6 @@ impl Explainer {
     }
 }
 
-/// FNV-1a, the same construction the engine's checkpoint fingerprints
-/// use — stable across runs, no dependency.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -884,7 +854,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_separates_programs_goals_and_configs() {
+    fn fingerprint_separates_programs_and_goals() {
         let parsed = reach_program();
         let base = ProgramArtifacts::builder(parsed.program.clone(), "reach")
             .fingerprint()
@@ -893,14 +863,6 @@ mod tests {
             .fingerprint()
             .unwrap();
         assert_ne!(base, other_goal);
-        let other_config = ProgramArtifacts::builder(parsed.program.clone(), "reach")
-            .with_analysis_config(AnalysisConfig {
-                max_path_rules: 4,
-                max_paths: 7,
-            })
-            .fingerprint()
-            .unwrap();
-        assert_ne!(base, other_config);
         // A guard with a deadline is not fingerprintable.
         let guarded = ProgramArtifacts::builder(parsed.program, "reach")
             .with_guard(RunGuard::default().with_timeout(std::time::Duration::from_secs(1)));

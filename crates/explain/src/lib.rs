@@ -58,9 +58,7 @@ pub use error::ExplainError;
 pub use glossary::{DomainGlossary, GlossaryEntry, GlossaryParseError, Param, ValueFormat};
 pub use mapping::{cover, instantiate, step_infos, Cover, PathCover, StepInfo};
 pub use review::{export as export_templates, import as import_templates, ReviewReport};
-pub use structural::{
-    analyze, analyze_with, AnalysisConfig, PathKind, ReasoningPath, StructuralAnalysis, Supply,
-};
+pub use structural::{analyze, PathKind, ReasoningPath, StructuralAnalysis, Supply};
 pub use template::{
     generate, single_rule_path, Segment, Template, TemplateStyle, TokenClass, TokenMember,
 };

@@ -95,24 +95,12 @@ impl PartialEq for ReasoningPath {
     }
 }
 
-/// Configuration of the structural analysis.
-#[derive(Clone, Debug)]
-pub struct AnalysisConfig {
-    /// Maximum number of rules per reasoning path.
-    pub max_path_rules: usize,
-    /// Cap on the number of enumerated paths (incl. dashed variants); the
-    /// analysis fails with [`ExplainError::PathExplosion`] beyond it.
-    pub max_paths: usize,
-}
+/// Maximum number of rules per reasoning path.
+const MAX_PATH_RULES: usize = 16;
 
-impl Default for AnalysisConfig {
-    fn default() -> AnalysisConfig {
-        AnalysisConfig {
-            max_path_rules: 16,
-            max_paths: 4096,
-        }
-    }
-}
+/// Cap on the number of enumerated paths (dashed variants included); the
+/// analysis fails with [`ExplainError::PathExplosion`] beyond it.
+const MAX_PATHS: usize = 4096;
 
 /// The result of the structural analysis of a program for a goal.
 #[derive(Clone, Debug)]
@@ -138,18 +126,8 @@ impl StructuralAnalysis {
     }
 }
 
-/// Runs the structural analysis of `program` for `goal` with the default
-/// configuration.
+/// Runs the structural analysis of `program` for `goal`.
 pub fn analyze(program: &Program, goal: &str) -> Result<StructuralAnalysis, ExplainError> {
-    analyze_with(program, goal, &AnalysisConfig::default())
-}
-
-/// Runs the structural analysis with an explicit configuration.
-pub fn analyze_with(
-    program: &Program,
-    goal: &str,
-    config: &AnalysisConfig,
-) -> Result<StructuralAnalysis, ExplainError> {
     let goal_sym = Symbol::new(goal);
     if !program.is_intensional(goal_sym) {
         return Err(ExplainError::UnknownGoal { goal: goal_sym });
@@ -175,7 +153,6 @@ pub fn analyze_with(
     let enumerator = Enumerator {
         program,
         critical: &critical_set,
-        config,
     };
 
     let mut paths = enumerator.simple_paths()?;
@@ -187,10 +164,8 @@ pub fn analyze_with(
     let mut expanded = Vec::new();
     for base in paths {
         expanded.extend(expand_variants(program, base));
-        if expanded.len() > config.max_paths {
-            return Err(ExplainError::PathExplosion {
-                cap: config.max_paths,
-            });
+        if expanded.len() > MAX_PATHS {
+            return Err(ExplainError::PathExplosion { cap: MAX_PATHS });
         }
     }
 
@@ -204,7 +179,6 @@ pub fn analyze_with(
 struct Enumerator<'a> {
     program: &'a Program,
     critical: &'a HashSet<Symbol>,
-    config: &'a AnalysisConfig,
 }
 
 impl Enumerator<'_> {
@@ -259,22 +233,18 @@ impl Enumerator<'_> {
         let mut stack: Vec<BTreeSet<RuleId>> = vec![BTreeSet::new()];
 
         while let Some(set) = stack.pop() {
-            if visited.len() > self.config.max_paths * 8 {
-                return Err(ExplainError::PathExplosion {
-                    cap: self.config.max_paths,
-                });
+            if visited.len() > MAX_PATHS * 8 {
+                return Err(ExplainError::PathExplosion { cap: MAX_PATHS });
             }
             if !set.is_empty() {
                 if let Some(path) = self.validate(&set, entry) {
                     out.push(path);
-                    if out.len() > self.config.max_paths {
-                        return Err(ExplainError::PathExplosion {
-                            cap: self.config.max_paths,
-                        });
+                    if out.len() > MAX_PATHS {
+                        return Err(ExplainError::PathExplosion { cap: MAX_PATHS });
                     }
                 }
             }
-            if set.len() >= self.config.max_path_rules {
+            if set.len() >= MAX_PATH_RULES {
                 continue;
             }
             let heads: HashSet<Symbol> = set.iter().map(|&r| self.head_pred(r)).collect();
@@ -808,13 +778,9 @@ mod tests {
         }
         text.push_str("g: p(x), c = count(x) -> goal(x, c).\n");
         let p = parse_program(&text).unwrap().program;
-        let cfg = AnalysisConfig {
-            max_paths: 64,
-            ..AnalysisConfig::default()
-        };
         assert!(matches!(
-            analyze_with(&p, "goal", &cfg),
-            Err(ExplainError::PathExplosion { .. })
+            analyze(&p, "goal"),
+            Err(ExplainError::PathExplosion { cap: 4096 })
         ));
     }
 }

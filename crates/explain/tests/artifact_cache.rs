@@ -3,7 +3,7 @@
 //! in its own test binary: no other test shares its process, its counter
 //! or its cache.
 
-use explain::{AnalysisConfig, ProgramArtifacts};
+use explain::ProgramArtifacts;
 use std::sync::Arc;
 use vadalog::parse_program;
 
@@ -31,12 +31,11 @@ fn cached_builds_share_one_edition_and_run_analysis_once() {
         .unwrap();
     assert!(Arc::ptr_eq(&a, &b), "cache hit must share the edition");
     assert_eq!(runs.get() - before, 1, "analysis must run exactly once");
-    // A different analysis configuration is a different deployment.
-    let c = ProgramArtifacts::builder(parsed.program, "reach")
-        .with_analysis_config(AnalysisConfig {
-            max_path_rules: 8,
-            max_paths: 2048,
-        })
+    // A different program is a different deployment.
+    let other = parse_program("alpha: edge(x, y) -> reach(x, y).")
+        .unwrap()
+        .program;
+    let c = ProgramArtifacts::builder(other, "reach")
         .build_cached()
         .unwrap();
     assert!(!Arc::ptr_eq(&a, &c));
