@@ -11,7 +11,7 @@
 //! ([`GoalCone`]) of the engine's pruned chase mode.
 
 use crate::program::Program;
-use crate::rule::RuleId;
+use crate::rule::{Rule, RuleId};
 use crate::symbol::Symbol;
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -44,6 +44,12 @@ pub struct DependencyGraph {
 impl DependencyGraph {
     /// Builds the dependency graph of `program`.
     pub fn build(program: &Program) -> DependencyGraph {
+        DependencyGraph::of_rules(program.rules())
+    }
+
+    /// The dependency graph of `rules`: a node is extensional iff no rule
+    /// derives it.
+    pub(crate) fn of_rules(rules: &[Rule]) -> DependencyGraph {
         let mut nodes: Vec<Symbol> = Vec::new();
         let mut seen = HashSet::new();
         let push_node = |nodes: &mut Vec<Symbol>, seen: &mut HashSet<Symbol>, s: Symbol| {
@@ -53,7 +59,7 @@ impl DependencyGraph {
         };
 
         let mut edges = Vec::new();
-        for (i, rule) in program.rules().iter().enumerate() {
+        for (i, rule) in rules.iter().enumerate() {
             let Some(head) = rule.head.atom() else {
                 continue; // constraints do not contribute edges
             };
@@ -76,10 +82,14 @@ impl DependencyGraph {
             incoming.entry(e.to).or_default().push(i);
         }
 
+        let derived: HashSet<Symbol> = rules
+            .iter()
+            .filter_map(|r| r.head.atom().map(|h| h.predicate))
+            .collect();
         let extensional = nodes
             .iter()
             .copied()
-            .filter(|&p| program.is_extensional(p))
+            .filter(|p| !derived.contains(p))
             .collect();
 
         DependencyGraph {
@@ -136,38 +146,16 @@ impl DependencyGraph {
             .collect()
     }
 
-    /// True iff the graph has a cycle (i.e. the program is recursive).
+    /// True iff the graph has a cycle (i.e. the program is recursive): a
+    /// node with a self-edge, or a strongly connected component of two
+    /// or more members.
     pub fn is_cyclic(&self) -> bool {
-        // Kahn's algorithm: the graph is cyclic iff topological sorting
-        // consumes fewer nodes than exist.
-        let mut indeg: HashMap<Symbol, usize> = self.nodes.iter().map(|&n| (n, 0)).collect();
-        for e in &self.edges {
-            if e.from != e.to {
-                *indeg.get_mut(&e.to).expect("edge target is a node") += 1;
-            } else {
-                return true; // self-loop
-            }
-        }
-        let mut queue: VecDeque<Symbol> = indeg
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&n, _)| n)
-            .collect();
-        let mut consumed = 0usize;
-        while let Some(n) = queue.pop_front() {
-            consumed += 1;
-            for e in self.outgoing(n) {
-                if e.from == e.to {
-                    continue;
-                }
-                let d = indeg.get_mut(&e.to).expect("edge target is a node");
-                *d -= 1;
-                if *d == 0 {
-                    queue.push_back(e.to);
-                }
-            }
-        }
-        consumed < self.nodes.len()
+        self.edges.iter().any(|e| e.from == e.to)
+            || self
+                .condensation()
+                .components()
+                .iter()
+                .any(|members| members.len() > 1)
     }
 
     /// True iff there is a (possibly empty) path from `from` to `to`.
@@ -219,7 +207,7 @@ impl DependencyGraph {
     /// The strongly-connected-component condensation of the graph.
     ///
     /// Components are returned in reverse topological order (a component
-    /// appears before every component it has an edge into — Tarjan's
+    /// appears after every component it has an edge into — Tarjan's
     /// natural emission order), so recursion cliques collapse to single
     /// condensation nodes and any cone or stratification analysis over
     /// the condensation is a plain DAG walk.
@@ -312,7 +300,7 @@ pub struct Condensation {
 }
 
 impl Condensation {
-    /// The components, in reverse topological order (a component precedes
+    /// The components, in reverse topological order (a component follows
     /// every component it points into).
     pub fn components(&self) -> &[Vec<Symbol>] {
         &self.components

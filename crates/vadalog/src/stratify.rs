@@ -8,7 +8,8 @@
 //! predicate's extension is complete (the classic perfect-model
 //! semantics).
 
-use crate::rule::{Head, Rule};
+use crate::depgraph::DependencyGraph;
+use crate::rule::Rule;
 use crate::symbol::Symbol;
 use std::collections::HashMap;
 
@@ -27,66 +28,61 @@ pub struct Stratification {
 /// Computes the stratification, or `None` when recursion passes through
 /// negation.
 ///
-/// Iterative constraint propagation: strata start at 0 and are raised
-/// until fixpoint. With `p` predicates, any consistent program stabilizes
-/// within `p` rounds; needing more implies a negative cycle.
+/// Walks the SCC condensation of the dependency graph D(Σ) in
+/// topological order. A negated edge inside a component is recursion
+/// through negation. Otherwise a component's stratum is the largest
+/// number of negated edges along a path into it: the maximum, over its
+/// incoming edges from other components, of the source's stratum plus one
+/// for a negated edge. Predicates that only constraints read are no nodes
+/// of D(Σ) and sit at stratum 0.
 pub fn stratify(rules: &[Rule]) -> Option<Stratification> {
-    let mut preds: Vec<Symbol> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut note = |p: Symbol, preds: &mut Vec<Symbol>| {
-        if seen.insert(p) {
-            preds.push(p);
-        }
-    };
-    for r in rules {
-        for lit in &r.body {
-            note(lit.atom.predicate, &mut preds);
-        }
-        if let Head::Atom(h) = &r.head {
-            note(h.predicate, &mut preds);
-        }
-    }
-
-    let mut stratum: HashMap<Symbol, usize> = preds.iter().map(|&p| (p, 0)).collect();
-    let max_rounds = preds.len() + 1;
-    for round in 0..=max_rounds {
-        let mut changed = false;
-        for r in rules {
-            let Head::Atom(h) = &r.head else {
-                continue; // constraints impose no stratum constraints
-            };
-            let head_stratum = stratum[&h.predicate];
-            let mut required = head_stratum;
-            for lit in &r.body {
-                let b = stratum[&lit.atom.predicate];
-                required = required.max(if lit.negated { b + 1 } else { b });
-            }
-            if required > head_stratum {
-                stratum.insert(h.predicate, required);
-                changed = true;
+    let graph = DependencyGraph::of_rules(rules);
+    let condensation = graph.condensation();
+    let mut component_stratum = vec![0usize; condensation.len()];
+    // Components come in reverse topological order: every edge points
+    // into a component listed before its source's.
+    for (c, members) in condensation.components().iter().enumerate().rev() {
+        for &member in members {
+            for edge in graph.incoming(member) {
+                let from = condensation.component_of(edge.from).expect("edge endpoint");
+                if from == c {
+                    if edge.negated {
+                        return None;
+                    }
+                } else {
+                    let stratum = component_stratum[from] + usize::from(edge.negated);
+                    component_stratum[c] = component_stratum[c].max(stratum);
+                }
             }
         }
-        if !changed {
-            let max_stratum = stratum.values().copied().max().unwrap_or(0);
-            let rule_stratum = rules
-                .iter()
-                .map(|r| match &r.head {
-                    Head::Atom(h) => stratum[&h.predicate],
-                    // Constraints run last, when everything is derived.
-                    Head::Falsum => max_stratum,
-                })
-                .collect();
-            return Some(Stratification {
-                predicate_stratum: stratum,
-                rule_stratum,
-                strata: max_stratum + 1,
-            });
-        }
-        if round == max_rounds {
-            break;
+    }
+    let mut predicate_stratum: HashMap<Symbol, usize> = graph
+        .nodes()
+        .iter()
+        .map(|&p| {
+            let c = condensation.component_of(p).expect("graph node");
+            (p, component_stratum[c])
+        })
+        .collect();
+    for rule in rules.iter().filter(|r| r.is_constraint()) {
+        for literal in &rule.body {
+            predicate_stratum.entry(literal.atom.predicate).or_insert(0);
         }
     }
-    None // a stratum exceeded the predicate count: negative cycle
+    let top = predicate_stratum.values().copied().max().unwrap_or(0);
+    let rule_stratum = rules
+        .iter()
+        .map(|r| match r.head.atom() {
+            Some(h) => predicate_stratum[&h.predicate],
+            // Constraints run last, when everything is derived.
+            None => top,
+        })
+        .collect();
+    Some(Stratification {
+        predicate_stratum,
+        rule_stratum,
+        strata: top + 1,
+    })
 }
 
 #[cfg(test)]
@@ -172,6 +168,36 @@ mod tests {
         );
         let s = stratify(&rules).unwrap();
         assert_eq!(s.strata, 1);
+    }
+
+    #[test]
+    fn recursion_clique_takes_its_most_negated_input() {
+        // p and q recurse positively; p reads n negated (stratum 1 + 1)
+        // and q reads e2 negated (0 + 1): both sit at 2.
+        let rules = rules_of(
+            "r0: e(x) -> m(x).
+             r1: e(x), not m(x) -> n(x).
+             r2: p(x) -> q(x).
+             r3: q(x) -> p(x).
+             r4: e(x), not n(x) -> p(x).
+             r5: e(x), not e2(x) -> q(x).",
+        );
+        let s = stratify(&rules).unwrap();
+        let st = |p: &str| s.predicate_stratum[&Symbol::new(p)];
+        assert_eq!((st("m"), st("n"), st("p"), st("q")), (0, 1, 2, 2));
+        assert_eq!(s.rule_stratum, vec![0, 1, 2, 2, 2, 2]);
+    }
+
+    #[test]
+    fn predicates_only_constraints_read_sit_at_stratum_zero() {
+        let rules = rules_of(
+            "r: node(x), not blocked(x) -> open(x).
+             c: audit(x), open(x) -> !.",
+        );
+        let s = stratify(&rules).unwrap();
+        assert_eq!(s.predicate_stratum[&Symbol::new("audit")], 0);
+        assert_eq!(s.predicate_stratum[&Symbol::new("open")], 1);
+        assert_eq!(s.rule_stratum, vec![1, 1]);
     }
 
     #[test]
