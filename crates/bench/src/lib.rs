@@ -1,8 +1,8 @@
 //! # bench
 //!
 //! The experiment harness: one runner per table and figure of the paper's
-//! evaluation (Sec. 6), shared between the `fig*` binaries, the Criterion
-//! benches and the integration tests.
+//! evaluation (Sec. 6), shared between the `fig*` binaries and the
+//! integration tests.
 //!
 //! | Paper artefact | Runner | Binary |
 //! |---|---|---|

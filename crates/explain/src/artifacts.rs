@@ -12,8 +12,8 @@
 //! [`ArtifactCache`] memoizes it by program fingerprint so repeated
 //! builds of the same deployment are free; and [`Explainer`], the only
 //! query handle, binds the shared artifacts to one chase snapshot and
-//! answers explanation queries Q_e under a template flavour, a
-//! derivation policy and an optional per-query [`RunGuard`].
+//! answers explanation queries Q_e under a template flavour and an
+//! optional per-query [`RunGuard`].
 //!
 //! Everything here is immutable after construction and `Sync`, which is
 //! what makes the serving layer (`serve` crate) possible: N workers
@@ -32,8 +32,8 @@ use std::time::Instant;
 use vadalog::checkpoint::Fnv1a;
 use vadalog::telemetry::{JsonWriter, RunGuard};
 use vadalog::{
-    ChaseConfig, ChaseOutcome, DerivationId, DerivationPolicy, Fact, FactId, GoalCone, Program,
-    ProofTree, RuleId, Symbol,
+    ChaseConfig, ChaseOutcome, DerivationId, Fact, FactId, GoalCone, Program, ProofTree, RuleId,
+    Symbol,
 };
 
 /// The immutable once-per-application build product of the explanation
@@ -146,7 +146,7 @@ impl ProgramArtifacts {
         Ok(())
     }
 
-    /// Tells the story of `proof`, the proof of one fact under `policy`:
+    /// Tells the story of `proof`, the proof of one fact:
     /// unabsorbed side branches first, then one template piece per cover
     /// piece, each appended to `text` after a `" "` separator and labelled
     /// in `paths`. Returns the spine's length in chase steps.
@@ -156,7 +156,6 @@ impl ProgramArtifacts {
         outcome: &ChaseOutcome,
         proof: &ProofTree,
         flavor: TemplateFlavor,
-        policy: DerivationPolicy,
         governor: Option<(&RunGuard, Instant)>,
         visited: &mut HashSet<DerivationId>,
         text: &mut String,
@@ -170,7 +169,7 @@ impl ProgramArtifacts {
             poll_guard(guard, start)?;
         }
         let tau = proof.linearize(&outcome.graph);
-        let steps = step_infos(&outcome.graph, &tau, policy);
+        let steps = step_infos(&outcome.graph, &tau);
         // A recursive call may find that a prefix of its spine was already
         // told by the caller's cover; the story resumes mid-proof with
         // reasoning cycles only.
@@ -202,12 +201,11 @@ impl ProgramArtifacts {
                 // the last spine step of the side fact's proof); the
                 // single-rule fallback marks it explicitly.
                 let conclusion = outcome.graph.derivation(side).conclusion;
-                let side_proof = outcome.graph.proof(conclusion, policy);
+                let side_proof = outcome.graph.proof(conclusion);
                 match self.explain_rec(
                     outcome,
                     &side_proof,
                     flavor,
-                    policy,
                     governor,
                     visited,
                     text,
@@ -217,15 +215,7 @@ impl ProgramArtifacts {
                     Ok(_) => {}
                     Err(ExplainError::NoCoveringPath { .. }) => {
                         if visited.insert(side) {
-                            self.explain_single(
-                                outcome,
-                                side,
-                                policy,
-                                visited,
-                                text,
-                                paths,
-                                depth + 1,
-                            );
+                            self.explain_single(outcome, side, visited, text, paths, depth + 1);
                         }
                     }
                     Err(other) => return Err(other),
@@ -244,12 +234,10 @@ impl ProgramArtifacts {
 
     /// Verbalizes one derivation with its rule's fallback template,
     /// explaining unvisited derived premises first (depth-first).
-    #[allow(clippy::too_many_arguments)]
     fn explain_single(
         &self,
         outcome: &ChaseOutcome,
         did: DerivationId,
-        policy: DerivationPolicy,
         visited: &mut HashSet<DerivationId>,
         text: &mut String,
         paths: &mut Vec<String>,
@@ -263,9 +251,9 @@ impl ProgramArtifacts {
             if !outcome.graph.is_derived(p) {
                 continue;
             }
-            if let Some(pd) = outcome.graph.choose_derivation(p, policy) {
+            if let Some(pd) = outcome.graph.choose_derivation(p) {
                 if visited.insert(pd) {
-                    self.explain_single(outcome, pd, policy, visited, text, paths, depth + 1);
+                    self.explain_single(outcome, pd, visited, text, paths, depth + 1);
                 }
             }
         }
@@ -648,7 +636,7 @@ impl PipelineReport {
 }
 
 /// The explanation handle: shared artifacts bound to one chase
-/// snapshot, with the query-time knobs (flavour, policy, guard) carried
+/// snapshot, with the query-time knobs (flavour, guard) carried
 /// by value. `Clone` is two `Arc` bumps, so every serving worker holds
 /// its own `Explainer` over the same underlying data.
 ///
@@ -666,7 +654,6 @@ impl PipelineReport {
 pub struct Explainer {
     artifacts: Arc<ProgramArtifacts>,
     outcome: Arc<ChaseOutcome>,
-    policy: DerivationPolicy,
     flavor: TemplateFlavor,
     guard: RunGuard,
 }
@@ -682,16 +669,9 @@ impl Explainer {
         Explainer {
             artifacts,
             outcome: outcome.into(),
-            policy: DerivationPolicy::Richest,
             flavor: TemplateFlavor::Enhanced,
             guard: RunGuard::default(),
         }
-    }
-
-    /// Overrides the derivation-selection policy (default: richest).
-    pub fn with_policy(mut self, policy: DerivationPolicy) -> Explainer {
-        self.policy = policy;
-        self
     }
 
     /// Overrides the template flavour (default: enhanced).
@@ -749,7 +729,7 @@ impl Explainer {
     /// explanation's one text buffer, and path labels are the ones
     /// formatted when the artifacts were built.
     pub fn explain_id(&self, id: FactId) -> Result<Explanation, ExplainError> {
-        let (artifacts, outcome, policy) = (&*self.artifacts, &*self.outcome, self.policy);
+        let (artifacts, outcome) = (&*self.artifacts, &*self.outcome);
         if outcome.database.len() <= id.0 as usize {
             return Err(ExplainError::UnknownFact(id));
         }
@@ -765,7 +745,7 @@ impl Explainer {
             poll_guard(guard, start)?;
         }
 
-        let proof = outcome.graph.proof(id, policy);
+        let proof = outcome.graph.proof(id);
         let mut visited = HashSet::new();
         let mut text = String::new();
         let mut paths: Vec<String> = Vec::new();
@@ -773,7 +753,6 @@ impl Explainer {
             outcome,
             &proof,
             self.flavor,
-            policy,
             governor,
             &mut visited,
             &mut text,

@@ -27,8 +27,8 @@
 //! [`ArtifactsBuilder`] produces the shared [`ProgramArtifacts`]
 //! (memoized by the process-wide [`ArtifactCache`]). Step 3 runs per
 //! query through an [`Explainer`], which binds the artifacts to one chase
-//! outcome and carries the template flavour, the derivation policy and an
-//! optional per-query guard. Explanations provably contain every constant
+//! outcome and carries the template flavour and an optional per-query
+//! guard. Explanations provably contain every constant
 //! of the proof (side branches are explained recursively, with per-rule
 //! fallback templates), which is the paper's completeness guarantee over
 //! LLM-generated reports (Sec. 6.3).

@@ -13,7 +13,7 @@ use crate::glossary::ValueFormat;
 use crate::structural::{PathKind, StructuralAnalysis};
 use crate::template::{Segment, Template, TokenClass};
 use std::collections::HashMap;
-use vadalog::{ChaseGraph, ChaseStep, DerivationId, DerivationPolicy, Program, RuleId, Value};
+use vadalog::{ChaseGraph, ChaseStep, DerivationId, Program, RuleId, Value};
 
 /// One chase step of τ enriched with its immediate side derivations (the
 /// derivations of premises that are not the previous spine step).
@@ -30,11 +30,7 @@ pub struct StepInfo {
 }
 
 /// Enriches a linearized proof with side-derivation information.
-pub fn step_infos(
-    graph: &ChaseGraph,
-    tau: &[ChaseStep],
-    policy: DerivationPolicy,
-) -> Vec<StepInfo> {
+pub fn step_infos(graph: &ChaseGraph, tau: &[ChaseStep]) -> Vec<StepInfo> {
     tau.iter()
         .enumerate()
         .map(|(i, step)| {
@@ -48,7 +44,7 @@ pub fn step_infos(
                 .premises
                 .iter()
                 .filter(|&&p| Some(p) != spine_child && graph.is_derived(p))
-                .filter_map(|&p| graph.choose_derivation(p, policy))
+                .filter_map(|&p| graph.choose_derivation(p))
                 .collect();
             StepInfo {
                 rule: step.rule,
@@ -317,7 +313,7 @@ mod tests {
     use super::*;
     use crate::glossary::DomainGlossary;
     use crate::structural::analyze;
-    use vadalog::{parse_program, ChaseSession, Database, DerivationPolicy, Fact};
+    use vadalog::{parse_program, ChaseSession, Database, Fact};
 
     fn example_4_3_figure_8() -> (
         Program,
@@ -354,7 +350,7 @@ mod tests {
     #[test]
     fn tau_of_figure_8_is_covered_by_pi2_and_dashed_cycle() {
         let (program, analysis, out, target) = example_4_3_figure_8();
-        let proof = out.graph.proof(target, DerivationPolicy::Richest);
+        let proof = out.graph.proof(target);
         let tau = proof.linearize(&out.graph);
         let labels: Vec<&str> = tau
             .iter()
@@ -362,7 +358,7 @@ mod tests {
             .collect();
         assert_eq!(labels, vec!["alpha", "beta", "gamma", "beta", "gamma"]);
 
-        let steps = step_infos(&out.graph, &tau, DerivationPolicy::Richest);
+        let steps = step_infos(&out.graph, &tau);
         let c = cover(&program, &analysis, &out.graph, &steps).unwrap();
         assert_eq!(c.pieces.len(), 2);
         // Piece 1: Π2 (solid three-rule simple path), covering α, β, γ.
@@ -380,9 +376,9 @@ mod tests {
     #[test]
     fn instantiation_substitutes_constants() {
         let (program, analysis, out, target) = example_4_3_figure_8();
-        let proof = out.graph.proof(target, DerivationPolicy::Richest);
+        let proof = out.graph.proof(target);
         let tau = proof.linearize(&out.graph);
-        let steps = step_infos(&out.graph, &tau, DerivationPolicy::Richest);
+        let steps = step_infos(&out.graph, &tau);
         let c = cover(&program, &analysis, &out.graph, &steps).unwrap();
 
         let glossary = DomainGlossary::new();
@@ -409,9 +405,9 @@ mod tests {
         let (program, analysis, out, _) = example_4_3_figure_8();
         // Default("A") is derived by alpha alone.
         let target = out.lookup(&Fact::new("default", vec!["A".into()])).unwrap();
-        let proof = out.graph.proof(target, DerivationPolicy::Richest);
+        let proof = out.graph.proof(target);
         let tau = proof.linearize(&out.graph);
-        let steps = step_infos(&out.graph, &tau, DerivationPolicy::Richest);
+        let steps = step_infos(&out.graph, &tau);
         let c = cover(&program, &analysis, &out.graph, &steps).unwrap();
         assert_eq!(c.pieces.len(), 1);
         assert_eq!(analysis.paths[c.pieces[0].path_index].rules.len(), 1);
@@ -420,7 +416,7 @@ mod tests {
     #[test]
     fn empty_tau_yields_empty_cover() {
         let (program, analysis, out, _) = example_4_3_figure_8();
-        let steps = step_infos(&out.graph, &[], DerivationPolicy::Richest);
+        let steps = step_infos(&out.graph, &[]);
         let c = cover(&program, &analysis, &out.graph, &steps).unwrap();
         assert!(c.pieces.is_empty());
         let _ = out;
@@ -446,7 +442,7 @@ mod tests {
 #[cfg(test)]
 mod cover_from_tests {
     use super::*;
-    use vadalog::{parse_program, ChaseSession, Database, DerivationPolicy, Fact};
+    use vadalog::{parse_program, ChaseSession, Database, Fact};
 
     /// A three-link control chain: τ = [o1, o3, o3].
     fn chain() -> (
@@ -472,9 +468,9 @@ mod cover_from_tests {
         let id = out
             .lookup(&Fact::new("control", vec!["A".into(), "D".into()]))
             .unwrap();
-        let proof = out.graph.proof(id, DerivationPolicy::Richest);
+        let proof = out.graph.proof(id);
         let tau = proof.linearize(&out.graph);
-        let steps = step_infos(&out.graph, &tau, DerivationPolicy::Richest);
+        let steps = step_infos(&out.graph, &tau);
         (parsed.program, analysis, out, steps)
     }
 
@@ -540,9 +536,9 @@ mod cover_from_tests {
         let db: Database = parsed.facts.into_iter().collect();
         let out = ChaseSession::new(program).run(db).unwrap();
         let id = out.lookup(&Fact::new("default", vec!["D".into()])).unwrap();
-        let proof = out.graph.proof(id, DerivationPolicy::Richest);
+        let proof = out.graph.proof(id);
         let tau = proof.linearize(&out.graph);
-        let steps = step_infos(&out.graph, &tau, DerivationPolicy::Richest);
+        let steps = step_infos(&out.graph, &tau);
         let rules: Vec<String> = steps
             .iter()
             .map(|s| {

@@ -13,7 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vadalog::{ChaseOutcome, Database, DerivationPolicy, Fact, FactId, Symbol};
+use vadalog::{ChaseOutcome, Database, Fact, FactId, Symbol};
 
 /// A generated workload: the extensional database plus the target facts
 /// whose proofs have the requested length.
@@ -270,7 +270,7 @@ pub fn proofs_with_steps(outcome: &ChaseOutcome, goal: &str, steps: usize) -> Ve
         .copied()
         .filter(|&id| outcome.graph.is_derived(id))
         .filter(|&id| {
-            let proof = outcome.graph.proof(id, DerivationPolicy::Richest);
+            let proof = outcome.graph.proof(id);
             proof.linearize(&outcome.graph).len() == steps
         })
         .collect()
@@ -293,10 +293,7 @@ mod tests {
                 let id = out
                     .lookup(target)
                     .unwrap_or_else(|| panic!("{target} derived"));
-                let tau = out
-                    .graph
-                    .proof(id, DerivationPolicy::Richest)
-                    .linearize(&out.graph);
+                let tau = out.graph.proof(id).linearize(&out.graph);
                 assert_eq!(tau.len(), steps, "target {target}");
             }
         }
@@ -341,10 +338,7 @@ mod tests {
                 let id = out
                     .lookup(target)
                     .unwrap_or_else(|| panic!("{target} derived"));
-                let tau = out
-                    .graph
-                    .proof(id, DerivationPolicy::Richest)
-                    .linearize(&out.graph);
+                let tau = out.graph.proof(id).linearize(&out.graph);
                 assert_eq!(tau.len(), steps, "target {target}");
             }
         }
@@ -362,10 +356,7 @@ mod tests {
                 let id = out
                     .lookup(target)
                     .unwrap_or_else(|| panic!("{target} derived"));
-                let tau = out
-                    .graph
-                    .proof(id, DerivationPolicy::Richest)
-                    .linearize(&out.graph);
+                let tau = out.graph.proof(id).linearize(&out.graph);
                 assert_eq!(tau.len(), steps, "target {target}");
             }
         }

@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use vadalog::{ChaseOutcome, DerivationPolicy, FactId, Value};
+use vadalog::{ChaseOutcome, FactId, Value};
 
 /// A node of a proof visualization.
 #[derive(Clone, PartialEq, Debug)]
@@ -54,7 +54,7 @@ impl VizGraph {
     /// argument); a fact with one leading string argument annotates that
     /// node (`has_capital` and `shock` get dedicated treatment).
     pub fn from_proof(outcome: &ChaseOutcome, fact: FactId) -> VizGraph {
-        let proof = outcome.graph.proof(fact, DerivationPolicy::Richest);
+        let proof = outcome.graph.proof(fact);
         let mut g = VizGraph::default();
         for id in proof.facts() {
             let f = outcome.database.fact(id);

@@ -6,7 +6,7 @@ use finkg::{inject_error, VizGraph, ALL_ARCHETYPES};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vadalog::{ChaseSession, DerivationPolicy};
+use vadalog::ChaseSession;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -26,7 +26,7 @@ proptest! {
             let id = out.lookup(target).expect("target derived");
             let tau = out
                 .graph
-                .proof(id, DerivationPolicy::Richest)
+                .proof(id)
                 .linearize(&out.graph);
             prop_assert_eq!(tau.len(), steps);
         }
@@ -45,7 +45,7 @@ proptest! {
             let id = out.lookup(target).expect("target derived");
             let tau = out
                 .graph
-                .proof(id, DerivationPolicy::Richest)
+                .proof(id)
                 .linearize(&out.graph);
             prop_assert_eq!(tau.len(), steps);
         }

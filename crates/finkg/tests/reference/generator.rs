@@ -10,14 +10,17 @@
 //! That keeps every program stratified and every chase finite. Argument
 //! positions are typed, integer or string, so arithmetic and
 //! `sum`/`min`/`max` only ever see integers; existential variables take
-//! string positions. Constraints are added now and then; there is no
-//! division.
+//! string positions. Constraints are added now and then, some with an
+//! aggregate and a condition on its result; there is no division.
 //!
 //! Most programs also carry a transitive closure `path` over an `edge`
 //! relation, which grows for several rounds, with `count`/`sum`/`min`/
 //! `max` aggregates over it into one `tally` head (some existential) and
 //! an aggregate grouping by the tallies: that is what makes groups grow,
 //! supersede, pre-empt one another and lose members to supersession.
+//! Some programs also derive a sealed `twin` from one rule whose head
+//! repeats an existential and one that puts two different constants at
+//! those positions, which must not satisfy the repeated existential.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -312,11 +315,59 @@ impl Case {
                 rules.push(rule(rng, &preds, head));
             }
         }
+        // A head repeating an existential beside one with two different
+        // constants there, over the same body.
+        let twin_level = rng.random_range(0..levels);
+        let sources: Vec<&Pred> = preds
+            .iter()
+            .filter(|p| p.level < twin_level || (p.level == twin_level && !p.sealed))
+            .filter(|p| p.types.contains(&Ty::Str))
+            .collect();
+        if !sources.is_empty() && rng.random_bool(0.3) {
+            let source = *pick(rng, &sources);
+            let at = source.types.iter().position(|&ty| ty == Ty::Str);
+            let terms: Vec<String> = (0..source.types.len())
+                .map(|i| {
+                    if Some(i) == at {
+                        "x".to_string()
+                    } else {
+                        format!("y{i}")
+                    }
+                })
+                .collect();
+            let body = format!("{}({})", source.name, terms.join(", "));
+            rules.push(format!(r#"{body} -> twin(x, "a", "b")."#));
+            rules.push(format!("{body} -> twin(x, z, z)."));
+            preds.push(Pred {
+                name: "twin".into(),
+                level: twin_level,
+                types: vec![Ty::Str; 3],
+                edb: false,
+                sealed: true,
+            });
+        }
         if rng.random_bool(0.3) {
             let pred = pick(rng, &preds);
             let terms: Vec<String> = (0..pred.types.len()).map(|i| format!("x{i}")).collect();
             let mut items = vec![format!("{}({})", pred.name, terms.join(", "))];
-            if pred.types[0] == Ty::Int {
+            let ints: Vec<usize> = (0..pred.types.len())
+                .filter(|&i| pred.types[i] == Ty::Int)
+                .collect();
+            if rng.random_bool(0.5) {
+                // An aggregate constraint: violated only by a group whose
+                // result passes the condition, grouped by the compared
+                // variable when it is one.
+                let (func, input) = match ints.first() {
+                    Some(&i) => (*pick(rng, &["sum", "count", "min", "max"]), i),
+                    None => ("count", 0),
+                };
+                items.push(format!("n = {func}(x{input})"));
+                let rhs = match ints.last() {
+                    Some(&i) if rng.random_bool(0.3) => format!("x{i}"),
+                    _ => constant(rng, Ty::Int),
+                };
+                items.push(format!("n {} {rhs}", pick(rng, &[">", ">=", "<"])));
+            } else if pred.types[0] == Ty::Int {
                 items.push(format!("x0 > {}", constant(rng, Ty::Int)));
             }
             rules.push(format!("{} -> !.", items.join(", ")));

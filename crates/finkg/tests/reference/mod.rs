@@ -30,13 +30,16 @@
 //!   premises, deduplicated in member order, and its contributor rows are
 //!   the members' rows.
 //! * A step with an existential head is skipped when an active fact
-//!   matches its head with the existential positions as wildcards; nulls
-//!   are numbered per existential variable in head order. A step whose
+//!   matches its head with each unbound variable taking one value at all
+//!   its positions; nulls are numbered per existential variable in head
+//!   order. A step whose
 //!   fact exists keeps the fact's id and liveness and records nothing if
 //!   the fact already has the same (rule, premises) derivation. An
 //!   aggregate step deactivates the previous fact of its (rule, group
 //!   key) when that fact differs and is still active.
-//! * A constraint's label is recorded the first time it matches.
+//! * A constraint's label is recorded the first time it steps: a match of
+//!   a plain constraint, or a group of an aggregate constraint that
+//!   passes the conditions on the aggregate result.
 
 #![allow(dead_code)] // each suite uses a part of the module
 
@@ -256,16 +259,10 @@ impl Reference {
         let atoms: Vec<&Atom> = rule.positive_body().collect();
         let mut matches = Vec::new();
         self.join(rule, &atoms, Bindings::new(), Vec::new(), &mut matches)?;
-        let Some(head) = rule.head.atom() else {
-            if !matches.is_empty() && !self.out.violations.contains(&rule.label) {
-                self.out.violations.push(rule.label.clone());
-            }
-            return Ok(false);
-        };
         let mut changed = false;
         let Some(agg) = &rule.aggregate else {
             for m in matches {
-                changed |= self.fire(idx, rule, head, m.bindings, m.premises, None, round);
+                changed |= self.fire(idx, rule, m.bindings, m.premises, None, round);
             }
             return Ok(changed);
         };
@@ -312,7 +309,7 @@ impl Reference {
             }
             let contributors = members.into_iter().map(|m| m.bindings).collect();
             let group = Some((key, contributors));
-            changed |= self.fire(idx, rule, head, row, premises, group, round);
+            changed |= self.fire(idx, rule, row, premises, group, round);
         }
         Ok(changed)
     }
@@ -373,30 +370,29 @@ impl Reference {
     }
 
     /// Fires one step of `rule`; true iff it added a fresh fact. `group`
-    /// carries an aggregate step's group key and contributor rows.
-    #[allow(clippy::too_many_arguments)]
+    /// carries an aggregate step's group key and contributor rows. A
+    /// constraint's step records its violation.
     fn fire(
         &mut self,
         idx: usize,
         rule: &Rule,
-        head: &Atom,
         bindings: Bindings,
         premises: Vec<usize>,
         group: Option<(Vec<Value>, Vec<Bindings>)>,
         round: u32,
     ) -> bool {
+        let Some(head) = rule.head.atom() else {
+            if !self.out.violations.contains(&rule.label) {
+                self.out.violations.push(rule.label.clone());
+            }
+            return false;
+        };
         if !rule.existential_variables().is_empty() {
             let facts = &self.out.facts;
-            let satisfied = self.active(head.predicate).any(|id| {
-                head.terms
-                    .iter()
-                    .zip(&facts[id].values)
-                    .all(|(t, v)| match t {
-                        Term::Const(c) => c == v,
-                        Term::Var(x) => bindings.get(x).is_none_or(|b| b == v),
-                    })
-            });
-            if satisfied {
+            if self
+                .active(head.predicate)
+                .any(|id| unify(head, &facts[id], &bindings).is_some())
+            {
                 return false;
             }
         }

@@ -275,3 +275,77 @@ fn refires_plain_steps_preempted_by_a_superseded_aggregate() {
         .collect();
     assert_eq!(active, [r#"q(7,"k")"#, "q(3,_:n1)"]);
 }
+
+/// Regression: the restricted chase's check gives an existential one
+/// value at all its positions. `q("k", "u", "v")` is no image of
+/// `q(x, z, z)` under `x = "k"`, so `r2` fires and derives
+/// `q("k", n, n)`; a checked wildcard per position would pre-empt it.
+/// `q("k", "w", "w")` is one, and pre-empts it.
+#[test]
+fn a_repeated_existential_takes_one_value_in_the_head_check() {
+    let cases = [
+        (r#"q("k", "u", "v")."#, 0, true),
+        (r#"q("k", "w", "w")."#, 1, false),
+    ];
+    for (fact, preempted, derived) in cases {
+        let source = format!(
+            r#"
+            r1: a(x) -> q(x, "u", "v").
+            r2: a(x) -> q(x, z, z).
+            a("k"). {fact}
+        "#
+        );
+        let parsed = parse_program(&source).unwrap();
+        let db: Database = parsed.facts.iter().cloned().collect();
+        let outcomes = reference::assert_engine_matches(
+            &source,
+            &parsed.program,
+            &db,
+            &ChaseConfig::default(),
+        );
+
+        let out = &outcomes[0];
+        assert_eq!(out.report.rules[1].satisfaction_preempted, preempted);
+        let q = Symbol::new("q");
+        let repeated = out.database.iter().any(|(_, f)| {
+            f.predicate == q
+                && matches!(f.values[..], [k, Value::Null(m), Value::Null(n)]
+                    if k == Value::str("k") && m == n)
+        });
+        assert_eq!(repeated, derived, "{source}");
+    }
+}
+
+/// Regression: a constraint with an aggregate is violated only by a
+/// group whose aggregate passes the conditions on it. `c` sums every
+/// `p` value: 1 stays below 10; 6 + 6 exceeds it only when the fold
+/// sees both contributors, the second of which `g` derives after `c`'s
+/// first evaluation.
+#[test]
+fn aggregate_constraints_check_their_aggregate_conditions() {
+    let cases = [
+        (r#"p("a", 1)."#, false),
+        (r#"p("a", 1). p("b", 12)."#, true),
+        (r#"p("a", 6). q("b", 6)."#, true),
+        (r#"p("a", 4). q("b", 6)."#, false),
+    ];
+    for (facts, violated) in cases {
+        let source = format!(
+            r#"
+            c: p(x, v), s = sum(v), s > 10 -> !.
+            g: q(x, v) -> p(x, v).
+            {facts}
+        "#
+        );
+        let parsed = parse_program(&source).unwrap();
+        let db: Database = parsed.facts.iter().cloned().collect();
+        let outcomes = reference::assert_engine_matches(
+            &source,
+            &parsed.program,
+            &db,
+            &ChaseConfig::default(),
+        );
+        let expected: &[&str] = if violated { &["c"] } else { &[] };
+        assert_eq!(outcomes[0].violations, expected, "{source}");
+    }
+}

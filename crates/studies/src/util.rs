@@ -1,7 +1,7 @@
 //! Shared helpers of the study simulations.
 
 use explain::DomainGlossary;
-use vadalog::{ChaseOutcome, DerivationPolicy, FactId, Value};
+use vadalog::{ChaseOutcome, FactId, Value};
 
 /// The constants used in the proof of `fact`, rendered exactly as the
 /// verbalizer renders them (same glossary formats). These are the items
@@ -12,7 +12,7 @@ pub fn proof_constants(
     fact: FactId,
     glossary: &DomainGlossary,
 ) -> Vec<String> {
-    let proof = outcome.graph.proof(fact, DerivationPolicy::Richest);
+    let proof = outcome.graph.proof(fact);
     let mut out: Vec<String> = Vec::new();
     for id in proof.facts() {
         let f = outcome.database.fact(id);

@@ -109,10 +109,11 @@ pub(crate) fn table_growth<T>(len: usize) -> usize {
 /// keyed by the tuple of values at a fixed set of positions
 /// (`(predicate, [positions]) -> key -> ids`, postings in insertion
 /// order). Single-position indexes are the one-position special case.
-/// Indexes are created lazily the first time a signature is probed via
-/// [`Database::facts_with`], or eagerly via
-/// [`Database::ensure_composite_index`] (as the chase engine does from
-/// its join plans), and maintained incrementally by inserts afterwards.
+/// The store never chooses an index: indexes are built eagerly via
+/// [`Database::ensure_composite_index`] — the chase engine builds the
+/// ones its join plans name — maintained incrementally by inserts and
+/// retractions afterwards, and read with [`Database::probe_composite`]
+/// on the exact signature a lookup was planned with.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
     facts: Vec<Fact>,
@@ -300,26 +301,6 @@ impl Database {
             .map(|(i, f)| (FactId(i as u32), f))
     }
 
-    /// Fact ids of `predicate` whose argument at `position` equals `value`,
-    /// served from a (lazily created) positional index.
-    ///
-    /// Requires `&mut self` because the index may need to be built; use
-    /// [`Database::probe`] after [`Database::ensure_index`] for read-only
-    /// access (as the parallel chase phase does).
-    pub fn facts_with(&mut self, predicate: Symbol, position: usize, value: &Value) -> &[FactId] {
-        self.ensure_index(predicate, position);
-        let key = [*value];
-        self.probe_composite(predicate, &[position], &key)
-            .unwrap_or(&[])
-    }
-
-    /// Eagerly builds the single-position index on `(predicate, position)`
-    /// if it does not exist yet. Shorthand for
-    /// [`Database::ensure_composite_index`] with a one-position signature.
-    pub fn ensure_index(&mut self, predicate: Symbol, position: usize) {
-        self.ensure_composite_index(predicate, &[position]);
-    }
-
     /// Eagerly builds the composite index on `(predicate, positions)` if it
     /// does not exist yet. Indexes are maintained incrementally by
     /// [`Database::insert`] afterwards.
@@ -327,9 +308,9 @@ impl Database {
     /// `positions` must be ascending and distinct (join plans emit them
     /// that way); the signature identifies the index, so probing requires
     /// the same ordering. The chase engine calls this for every planned
-    /// probe signature *before* its parallel matching phase, so that a
-    /// cold index is never built while the store is shared read-only
-    /// across worker threads.
+    /// probe signature *before* its parallel matching phase, which shares
+    /// the store read-only across worker threads and scans wherever an
+    /// index is missing.
     ///
     /// An eagerly-built index is charged to [`Database::approx_bytes`]
     /// posting by posting, exactly like an incrementally-maintained one,
@@ -367,25 +348,11 @@ impl Database {
         self.indexes.entry(predicate).or_default().push(index);
     }
 
-    /// True iff the single-position index on `(predicate, position)` exists.
-    pub fn has_index(&self, predicate: Symbol, position: usize) -> bool {
-        self.has_composite_index(predicate, &[position])
-    }
-
     /// True iff the composite index on `(predicate, positions)` exists.
     pub fn has_composite_index(&self, predicate: Symbol, positions: &[usize]) -> bool {
         self.indexes
             .get(&predicate)
             .is_some_and(|v| v.iter().any(|ix| ix.positions == positions))
-    }
-
-    /// Read-only probe of the single-position index on
-    /// `(predicate, position)`: returns the matching ids (in insertion
-    /// order) if the index exists, `None` if it was never built. Never
-    /// builds an index — safe to call concurrently from matching workers.
-    pub fn probe(&self, predicate: Symbol, position: usize, value: &Value) -> Option<&[FactId]> {
-        let key = [*value];
-        self.probe_composite(predicate, &[position], &key)
     }
 
     /// Read-only probe of the composite index on `(predicate, positions)`
@@ -503,89 +470,6 @@ impl Database {
         self.index_byte_credit = approx_bytes.saturating_sub(self.approx_bytes);
         self.approx_bytes = approx_bytes;
     }
-
-    /// Finds an *active* fact of `predicate` matching `pattern`, where
-    /// `None` entries are wildcards. Used by the restricted-chase
-    /// satisfaction check and safe negation. Linear scan; see
-    /// [`Database::find_matching_metered`] for the index-accelerated path.
-    pub fn find_matching(&self, predicate: Symbol, pattern: &[Option<Value>]) -> Option<FactId> {
-        self.find_matching_metered(predicate, pattern).0
-    }
-
-    /// Like [`Database::find_matching`], but reports whether the lookup
-    /// was served by an index probe (`true`) or a full predicate scan
-    /// (`false`).
-    ///
-    /// The probe path auto-selects the widest existing index whose
-    /// positions are all bound (`Some`) in `pattern`, walks its posting
-    /// list in insertion order and filters on the full pattern — yielding
-    /// the *same* fact as the scan (the first matching active fact in
-    /// insertion order), because postings preserve insertion order and a
-    /// fact outside the probed key can never match the pattern. Falls
-    /// back to the linear scan when no usable index exists.
-    pub fn find_matching_metered(
-        &self,
-        predicate: Symbol,
-        pattern: &[Option<Value>],
-    ) -> (Option<FactId>, bool) {
-        let matches = |id: FactId| {
-            if !self.is_active(id) {
-                return false;
-            }
-            let f = self.fact(id);
-            f.values.len() == pattern.len()
-                && f.values
-                    .iter()
-                    .zip(pattern)
-                    .all(|(v, p)| p.is_none_or(|pv| *v == pv))
-        };
-        let best = self.indexes.get(&predicate).and_then(|indexes| {
-            indexes
-                .iter()
-                .filter(|ix| {
-                    ix.positions
-                        .iter()
-                        .all(|&p| pattern.get(p).copied().flatten().is_some())
-                })
-                .max_by_key(|ix| ix.positions.len())
-        });
-        if let Some(index) = best {
-            let key: Vec<Value> = index
-                .positions
-                .iter()
-                .map(|&p| pattern[p].expect("probed position is bound"))
-                .collect();
-            let hit = index
-                .map
-                .get(&key)
-                .and_then(|ids| ids.iter().copied().find(|&id| matches(id)));
-            (hit, true)
-        } else {
-            (self.find_matching_scan(predicate, pattern), false)
-        }
-    }
-
-    /// Forced linear-scan variant of [`Database::find_matching`]: the
-    /// fallback of [`Database::find_matching_metered`] when no usable
-    /// index exists, and the reference its index probes are tested
-    /// against.
-    pub(crate) fn find_matching_scan(
-        &self,
-        predicate: Symbol,
-        pattern: &[Option<Value>],
-    ) -> Option<FactId> {
-        self.facts_of(predicate).iter().copied().find(|&id| {
-            if !self.is_active(id) {
-                return false;
-            }
-            let f = self.fact(id);
-            f.values.len() == pattern.len()
-                && f.values
-                    .iter()
-                    .zip(pattern)
-                    .all(|(v, p)| p.is_none_or(|pv| *v == pv))
-        })
-    }
 }
 
 impl FromIterator<Fact> for Database {
@@ -626,40 +510,26 @@ mod tests {
     }
 
     #[test]
-    fn positional_index_is_built_lazily_and_maintained() {
-        let mut db = Database::new();
-        db.add("own", &["A".into(), "B".into(), 0.6.into()]);
-        db.add("own", &["C".into(), "B".into(), 0.3.into()]);
-        let pred = Symbol::new("own");
-        // First probe builds the index.
-        let hits = db.facts_with(pred, 1, &Value::str("B")).to_vec();
-        assert_eq!(hits.len(), 2);
-        // Inserting afterwards keeps the index fresh.
-        db.add("own", &["D".into(), "B".into(), 0.2.into()]);
-        let hits = db.facts_with(pred, 1, &Value::str("B"));
-        assert_eq!(hits.len(), 3);
-        let misses = db.facts_with(pred, 1, &Value::str("Z"));
-        assert!(misses.is_empty());
-    }
-
-    #[test]
     fn eager_index_probe_is_read_only() {
         let mut db = Database::new();
         db.add("own", &["A".into(), "B".into(), 0.6.into()]);
         db.add("own", &["C".into(), "B".into(), 0.3.into()]);
         let pred = Symbol::new("own");
-        // Before ensure_index, probe reports the index as missing.
-        assert!(db.probe(pred, 1, &Value::str("B")).is_none());
-        assert!(!db.has_index(pred, 1));
-        db.ensure_index(pred, 1);
-        assert!(db.has_index(pred, 1));
-        let hits = db.probe(pred, 1, &Value::str("B")).unwrap();
-        assert_eq!(hits.len(), 2);
-        // Insertion keeps the eager index fresh, like the lazy one.
+        let b = [Value::str("B")];
+        // Before the index is built, a probe reports it as missing.
+        assert!(db.probe_composite(pred, &[1], &b).is_none());
+        assert!(!db.has_composite_index(pred, &[1]));
+        db.ensure_composite_index(pred, &[1]);
+        assert!(db.has_composite_index(pred, &[1]));
+        assert_eq!(db.probe_composite(pred, &[1], &b).unwrap().len(), 2);
+        // Insertion keeps the eager index fresh.
         db.add("own", &["D".into(), "B".into(), 0.2.into()]);
-        assert_eq!(db.probe(pred, 1, &Value::str("B")).unwrap().len(), 3);
+        assert_eq!(db.probe_composite(pred, &[1], &b).unwrap().len(), 3);
         // A probe for an unseen value hits the index and returns empty.
-        assert_eq!(db.probe(pred, 1, &Value::str("Z")), Some(&[] as &[FactId]));
+        assert_eq!(
+            db.probe_composite(pred, &[1], &[Value::str("Z")]),
+            Some(&[] as &[FactId])
+        );
     }
 
     #[test]
@@ -713,7 +583,7 @@ mod tests {
     fn insert_never_touches_foreign_predicate_indexes() {
         let mut db = Database::new();
         db.add("own", &["A".into(), "B".into(), 0.6.into()]);
-        db.ensure_index(Symbol::new("own"), 0);
+        db.ensure_composite_index(Symbol::new("own"), &[0]);
         db.ensure_composite_index(Symbol::new("own"), &[0, 1]);
         let after_build = db.postings_built();
         assert_eq!(after_build, 2);
@@ -724,53 +594,6 @@ mod tests {
         // Own-predicate insert: exactly one posting per index of `own`.
         db.add("own", &["B".into(), "C".into(), 0.4.into()]);
         assert_eq!(db.postings_built(), after_build + 2);
-    }
-
-    #[test]
-    fn find_matching_treats_none_as_wildcard() {
-        let mut db = Database::new();
-        db.add("risk", &["C".into(), 11i64.into()]);
-        let pred = Symbol::new("risk");
-        assert!(db
-            .find_matching(pred, &[Some(Value::str("C")), None])
-            .is_some());
-        assert!(db
-            .find_matching(pred, &[Some(Value::str("C")), Some(Value::Int(11))])
-            .is_some());
-        assert!(db
-            .find_matching(pred, &[Some(Value::str("X")), None])
-            .is_none());
-        // Arity mismatch never matches.
-        assert!(db.find_matching(pred, &[None]).is_none());
-    }
-
-    #[test]
-    fn find_matching_metered_agrees_with_scan_and_reports_the_path() {
-        let mut db = Database::new();
-        db.add("own", &["A".into(), "B".into(), 0.6.into()]);
-        db.add("own", &["A".into(), "C".into(), 0.3.into()]);
-        db.add("own", &["B".into(), "C".into(), 0.2.into()]);
-        let pred = Symbol::new("own");
-        let pattern = [Some(Value::str("A")), None, None];
-        // No index yet: scan path.
-        let (scan_hit, used) = db.find_matching_metered(pred, &pattern);
-        assert!(!used);
-        db.ensure_index(pred, 0);
-        let (probe_hit, used) = db.find_matching_metered(pred, &pattern);
-        assert!(used);
-        assert_eq!(scan_hit, probe_hit);
-        // The widest applicable index wins; result unchanged.
-        db.ensure_composite_index(pred, &[0, 1]);
-        let full = [Some(Value::str("A")), Some(Value::str("C")), None];
-        let (hit, used) = db.find_matching_metered(pred, &full);
-        assert!(used);
-        assert_eq!(hit, db.find_matching(pred, &full));
-        // Deactivated facts are invisible on both paths.
-        let target = hit.unwrap();
-        db.deactivate(target);
-        let (hit, used) = db.find_matching_metered(pred, &full);
-        assert!(used);
-        assert_eq!(hit, None);
     }
 
     #[test]
@@ -825,7 +648,7 @@ mod tests {
         ];
         let pred = Symbol::new("own");
         let mut index_first = Database::new();
-        index_first.ensure_index(pred, 0);
+        index_first.ensure_composite_index(pred, &[0]);
         index_first.ensure_composite_index(pred, &[0, 1]);
         for f in &facts {
             index_first.insert(f.clone());
@@ -834,7 +657,7 @@ mod tests {
         for f in &facts {
             facts_first.insert(f.clone());
         }
-        facts_first.ensure_index(pred, 0);
+        facts_first.ensure_composite_index(pred, &[0]);
         facts_first.ensure_composite_index(pred, &[0, 1]);
         assert_eq!(index_first.approx_bytes(), facts_first.approx_bytes());
         assert_eq!(index_first.postings_built(), facts_first.postings_built());
@@ -850,7 +673,7 @@ mod tests {
         // rebuild must consume the restored credit instead of charging the
         // postings a second time.
         let mut live = Database::new();
-        live.ensure_index(Symbol::new("own"), 0);
+        live.ensure_composite_index(Symbol::new("own"), &[0]);
         live.add("own", &["A".into(), "B".into(), 0.6.into()]);
         live.add("own", &["B".into(), "C".into(), 0.4.into()]);
         let recorded = live.approx_bytes();
@@ -861,7 +684,7 @@ mod tests {
         assert!(restored.approx_bytes() < recorded);
         restored.restore_approx_bytes(recorded);
         assert_eq!(restored.approx_bytes(), recorded);
-        restored.ensure_index(Symbol::new("own"), 0);
+        restored.ensure_composite_index(Symbol::new("own"), &[0]);
         assert_eq!(
             restored.approx_bytes(),
             recorded,
@@ -910,11 +733,13 @@ mod tests {
         let mut db = Database::new();
         let fact = Fact::new("p", vec![Value::Int(7)]);
         let a = db.add("p", &[Value::Int(7)]);
+        db.ensure_composite_index(Symbol::new("p"), &[0]);
         db.retract(a);
         assert_eq!(db.lookup(&fact), None);
-        assert!(db
-            .find_matching(Symbol::new("p"), &[Some(Value::Int(7))])
-            .is_none());
+        assert_eq!(
+            db.probe_composite(Symbol::new("p"), &[0], &[Value::Int(7)]),
+            Some(&[] as &[FactId])
+        );
         let (b, fresh) = db.insert(fact.clone());
         assert!(fresh, "a retracted value re-inserts as a fresh fact");
         assert_ne!(a, b);
@@ -949,16 +774,8 @@ mod tests {
     }
 
     /// Checks every index in `sigs` against the scan fallback, for the
-    /// key of every stored fact plus an unseen one, and
-    /// `find_matching_metered` against `find_matching_scan` for every
-    /// stored fact with random wildcards.
-    fn assert_probes_agree_with_scans(
-        db: &Database,
-        sigs: &[(Symbol, Vec<usize>)],
-        rng: &mut rand::rngs::StdRng,
-        step: &str,
-    ) {
-        use rand::Rng;
+    /// key of every stored fact plus an unseen one.
+    fn assert_probes_agree_with_scans(db: &Database, sigs: &[(Symbol, Vec<usize>)], step: &str) {
         for (pred, positions) in sigs {
             let mut keys: Vec<Vec<Value>> = db
                 .facts_of(*pred)
@@ -984,20 +801,6 @@ mod tests {
                     probed,
                     scan_reference(db, *pred, positions, key),
                     "{step}: probe {pred}{positions:?} {key:?}"
-                );
-            }
-            for &id in db.facts_of(*pred) {
-                let pattern: Vec<Option<Value>> = db
-                    .fact(id)
-                    .values
-                    .iter()
-                    .map(|v| rng.random_bool(0.5).then_some(*v))
-                    .collect();
-                let (hit, _) = db.find_matching_metered(*pred, &pattern);
-                assert_eq!(
-                    hit,
-                    db.find_matching_scan(*pred, &pattern),
-                    "{step}: find {pred} {pattern:?}"
                 );
             }
         }
@@ -1043,7 +846,7 @@ mod tests {
             for (pred, positions) in late {
                 db.ensure_composite_index(*pred, positions);
             }
-            assert_probes_agree_with_scans(&db, &sigs, &mut rng, &format!("seed {seed} built"));
+            assert_probes_agree_with_scans(&db, &sigs, &format!("seed {seed} built"));
             for op in 0..12 {
                 let id = FactId(rng.random_range(0..db.len() as u32));
                 match rng.random_range(0..3) {
@@ -1056,7 +859,7 @@ mod tests {
                     }
                 }
                 let step = format!("seed {seed} op {op}");
-                assert_probes_agree_with_scans(&db, &sigs, &mut rng, &step);
+                assert_probes_agree_with_scans(&db, &sigs, &step);
             }
             // Permuted round trip: the live facts in a shuffled id order,
             // re-indexed half before and half after further inserts.
@@ -1084,7 +887,7 @@ mod tests {
                 db.ensure_composite_index(*pred, positions);
             }
             let step = format!("seed {seed} permuted");
-            assert_probes_agree_with_scans(&db, &sigs, &mut rng, &step);
+            assert_probes_agree_with_scans(&db, &sigs, &step);
         }
     }
 }

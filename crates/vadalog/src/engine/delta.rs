@@ -56,7 +56,7 @@ use super::{
     count_matching, join_plans, match_chunk, match_delta, Chase, ChaseConfig, ChaseOutcome,
     ChaseSession, JoinPlan, MatchChunk, MatchMetrics,
 };
-use crate::atom::{Atom, Fact};
+use crate::atom::Fact;
 use crate::database::{Database, FactId};
 use crate::error::{ChaseError, DeltaError};
 use crate::program::Program;
@@ -502,22 +502,12 @@ impl Teardown<'_> {
     }
 }
 
-/// True iff any negated atom of `negs` matches a live fact under the
-/// recorded match `row` — the same check `finish_match` applies, with
-/// unbound variables as wildcards.
-fn negation_blocked(db: &Database, plan: &JoinPlan, negs: &[&Atom], row: &Row) -> bool {
-    negs.iter().enumerate().any(|(k, atom)| {
-        let pattern = plan.negated_pattern(k, row.values());
-        db.find_matching(atom.predicate, &pattern).is_some()
-    })
-}
-
 /// Instantiates a rule head under the match `row`. Only called for
 /// existential-free rules, whose head variables are always bound.
 fn head_fact(rule: &Rule, plan: &JoinPlan, row: &Row) -> Fact {
     let head = rule.head.atom().expect("constraints never fire");
     let values = plan
-        .head_values(rule, row.values(), |_| {
+        .head_values(rule, row.values(), || {
             unreachable!("existential-free heads invent no nulls")
         })
         .expect("existential-free head variable is body-bound");
@@ -623,8 +613,7 @@ fn maintain(
         // replays the recorded bindings against the current store.
         for &idx in &stratum_rules {
             let rule = program.rule(RuleId(idx));
-            let negs: Vec<&Atom> = rule.negated_body().collect();
-            if negs.is_empty() || !negs.iter().any(|a| grew.contains(&a.predicate)) {
+            if !rule.negated_body().any(|a| grew.contains(&a.predicate)) {
                 continue;
             }
             for &d in &ders_of_rule[idx] {
@@ -632,7 +621,9 @@ fn maintain(
                     continue;
                 }
                 let der = &graph.derivations()[d];
-                if negation_blocked(&db, &plans[idx], &negs, &der.bindings) {
+                // Uncounted: the re-check is no match maintenance enumerated.
+                let row = der.bindings.values();
+                if plans[idx].negation_blocks(rule, &db, row, &mut MatchMetrics::default()) {
                     teardown.dead[d] = true;
                     let conclusion = der.conclusion;
                     if !extensional.contains(&conclusion) {
@@ -652,7 +643,6 @@ fn maintain(
         // all-old matches against the old graph directly.
         for &idx in &stratum_rules {
             let rule = program.rule(RuleId(idx));
-            let negs: Vec<&Atom> = rule.negated_body().collect();
             for &d in &ders_of_rule[idx] {
                 if !teardown.dead[d] {
                     continue;
@@ -661,7 +651,8 @@ fn maintain(
                 if der.premises.iter().any(|p| teardown.deleted.contains(p)) {
                     continue;
                 }
-                if !negs.is_empty() && negation_blocked(&db, &plans[idx], &negs, &der.bindings) {
+                let row = der.bindings.values();
+                if plans[idx].negation_blocks(rule, &db, row, &mut MatchMetrics::default()) {
                     continue;
                 }
                 let value = db.fact(der.conclusion).clone();

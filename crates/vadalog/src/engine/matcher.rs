@@ -2,14 +2,17 @@
 //! database.
 //!
 //! Joins are driven by a static, per-rule [`JoinPlan`]: for every body
-//! atom (positive *and* negated) the plan records the probe signature —
-//! the set of argument positions bound by constants or earlier atoms —
-//! the positive ones once per semi-naive pivot, in that pivot's
-//! pivot-first evaluation order. Callers build exactly the plan's
-//! composite indexes ([`JoinPlan::required_composite_indexes`]) before
-//! matching. A candidate lookup then probes *all* statically-bound
-//! positions at once via [`Database::probe_composite`], instead of
-//! probing one position and filtering the rest per candidate.
+//! atom (positive *and* negated) and for an existential head the plan
+//! records the probe signature — the set of argument positions bound by
+//! constants or earlier atoms — the positive ones once per semi-naive
+//! pivot, in that pivot's pivot-first evaluation order. Callers build
+//! exactly the plan's composite indexes
+//! ([`JoinPlan::required_composite_indexes`]) before matching. Every
+//! store lookup — a join atom's candidates, a negated atom's check and
+//! the restricted chase's head check — then probes its planned
+//! signature with all statically-bound positions at once via
+//! [`Database::probe_composite`], and tests each candidate against the
+//! atom's compiled arguments with one check.
 //!
 //! [`match_chunk`] is the one matching function. It is *read-only*:
 //! probes fall back to predicate scans when an index was never built
@@ -28,6 +31,7 @@ use crate::error::EvalError;
 use crate::row::{Layout, Row, RowRef};
 use crate::rule::{Head, Rule, RuleLayout};
 use crate::symbol::Symbol;
+use crate::telemetry::RuleStats;
 use crate::term::Term;
 use crate::value::Value;
 use std::borrow::Cow;
@@ -144,7 +148,8 @@ impl MatchChunk {
 /// signature is every position holding a constant or such a variable.
 /// The head signature covers the restricted chase's satisfaction check
 /// for existentially-quantified heads: every position holding a
-/// constant or a non-existential variable.
+/// constant or a non-existential variable. Both checks look up through
+/// the join's own candidate fetch, probing these signatures.
 ///
 /// The plan determines which indexes exist, never which facts match:
 /// probes and scans yield identical candidate lists (insertion order), so
@@ -184,7 +189,8 @@ pub struct JoinPlan {
     /// earlier assignments — are exactly what it may read.
     assignment_slots: Vec<usize>,
     /// The head arguments against the head layout
-    /// ([`RuleLayout::head`]); [`Arg::Free`] marks an existential.
+    /// ([`RuleLayout::head`]); an existential is [`Arg::Free`] at its
+    /// first position and [`Arg::Repeats`] at the others.
     head_args: Vec<Arg>,
 }
 
@@ -193,15 +199,20 @@ pub struct JoinPlan {
 enum Arg {
     /// A constant the fact must carry.
     Const(Value),
-    /// A variable whose slot is bound before this argument: the fact must
+    /// A variable whose slot is bound before the atom: the fact must
     /// carry its value.
     Bound(usize),
-    /// A variable first seen here: the argument writes its slot.
+    /// The first position of a variable the atom binds: the join writes
+    /// the fact's value into its slot.
     Binds(usize),
-    /// A variable no slot binds: a wildcard in negated atoms and in the
-    /// satisfaction check, a fresh null in the head. An existential
-    /// carries its index in [`RuleLayout::existentials`].
-    Free(Option<usize>),
+    /// A later position of a variable the atom binds or leaves free: the
+    /// fact must carry the value it has at the variable's first position,
+    /// given here.
+    Repeats(usize),
+    /// The first position of a variable no slot binds: in the head, a
+    /// fresh null if the variable is existential, an evaluation error
+    /// otherwise.
+    Free { existential: bool },
 }
 
 impl Arg {
@@ -211,9 +222,27 @@ impl Arg {
         match self {
             Arg::Const(v) => Some(v),
             Arg::Bound(slot) => Some(row[slot]),
-            Arg::Binds(_) | Arg::Free(_) => None,
+            Arg::Binds(_) | Arg::Repeats(_) | Arg::Free { .. } => None,
         }
     }
+}
+
+/// The arguments of `terms`, each variable resolved by `var`. A variable
+/// that `var` leaves unbound (`Binds` or `Free`) repeats its first
+/// position at every later one, so a fact must carry one value at all of
+/// them.
+fn compile(terms: &[Term], var: impl Fn(Symbol) -> Arg) -> Vec<Arg> {
+    let mut args: Vec<Arg> = Vec::with_capacity(terms.len());
+    for (i, term) in terms.iter().enumerate() {
+        args.push(match *term {
+            Term::Const(v) => Arg::Const(v),
+            Term::Var(v) => match (var(v), terms[..i].iter().position(|t| t == term)) {
+                (Arg::Binds(_) | Arg::Free { .. }, Some(first)) => Arg::Repeats(first),
+                (arg, _) => arg,
+            },
+        });
+    }
+    args
 }
 
 impl JoinPlan {
@@ -232,52 +261,36 @@ impl JoinPlan {
                 // A variable repeated within the atom is checked, not
                 // probed: only slots bound by earlier atoms join the
                 // signature, mirroring the row at candidate-lookup time.
-                let before = bound.clone();
-                let atom_args: Vec<Arg> = atoms[i]
-                    .terms
-                    .iter()
-                    .map(|t| match *t {
-                        Term::Const(v) => Arg::Const(v),
-                        Term::Var(v) => {
-                            let slot = layout.matched.position(v).expect("body variable");
-                            if std::mem::replace(&mut bound[slot], true) {
-                                Arg::Bound(slot)
-                            } else {
-                                Arg::Binds(slot)
-                            }
-                        }
-                    })
-                    .collect();
-                let signature = (0..atom_args.len())
-                    .filter(|&k| match atom_args[k] {
-                        Arg::Const(_) => true,
-                        Arg::Bound(slot) => before[slot],
-                        Arg::Binds(_) | Arg::Free(_) => false,
-                    })
-                    .collect();
-                order.push((i, signature));
+                let atom_args = compile(&atoms[i].terms, |v| {
+                    let slot = layout.matched.position(v).expect("body variable");
+                    if bound[slot] {
+                        Arg::Bound(slot)
+                    } else {
+                        Arg::Binds(slot)
+                    }
+                });
+                for arg in &atom_args {
+                    if let Arg::Binds(slot) = *arg {
+                        bound[slot] = true;
+                    }
+                }
+                order.push((i, pinned_positions(&atom_args)));
                 order_args.push(atom_args);
             }
             pivots.push(order);
             args.push(order_args);
         }
-        let resolve = |t: &Term, within: Layout| match *t {
-            Term::Const(v) => Arg::Const(v),
-            Term::Var(v) => match within.position(v) {
-                Some(slot) => Arg::Bound(slot),
-                None => Arg::Free(layout.existentials.iter().position(|&e| e == v)),
+        let resolve = |v: Symbol, within: Layout| match within.position(v) {
+            Some(slot) => Arg::Bound(slot),
+            None => Arg::Free {
+                existential: layout.existentials.contains(&v),
             },
         };
         // Negation runs after the assignments of a complete match, so
         // every slot of the match layout is bound.
         let negated_args: Vec<Vec<Arg>> = rule
             .negated_body()
-            .map(|atom| {
-                atom.terms
-                    .iter()
-                    .map(|t| resolve(t, layout.matched))
-                    .collect()
-            })
+            .map(|atom| compile(&atom.terms, |v| resolve(v, layout.matched)))
             .collect();
         let negated = negated_args
             .iter()
@@ -290,8 +303,7 @@ impl JoinPlan {
             .collect();
         let (head, head_args) = match &rule.head {
             Head::Atom(h) => {
-                let head_args: Vec<Arg> =
-                    h.terms.iter().map(|t| resolve(t, layout.head())).collect();
+                let head_args = compile(&h.terms, |v| resolve(v, layout.head()));
                 let sig = pinned_positions(&head_args);
                 let probed = !layout.existentials.is_empty() && !sig.is_empty();
                 (probed.then_some(sig), head_args)
@@ -310,42 +322,82 @@ impl JoinPlan {
         }
     }
 
-    /// The satisfaction pattern of the head under the step row `row`:
-    /// the bound head values, `None` at existential positions.
-    pub(crate) fn head_pattern(&self, row: &[Value]) -> Vec<Option<Value>> {
-        self.head_args.iter().map(|a| a.pinned(row)).collect()
-    }
-
-    /// The head values under the step row `row`, with `null(k)` supplying
-    /// the value of the `k`-th existential variable. An unbound head
-    /// variable that is not existential is an evaluation error.
+    /// The head values under the step row `row`, with `null()` supplying
+    /// each existential variable's value at its first position; its later
+    /// positions repeat that value. An unbound head variable that is not
+    /// existential is an evaluation error.
     pub(crate) fn head_values(
         &self,
         rule: &Rule,
         row: &[Value],
-        mut null: impl FnMut(usize) -> Value,
+        mut null: impl FnMut() -> Value,
     ) -> Result<Vec<Value>, EvalError> {
         let head = rule.head.atom().expect("only head atoms are instantiated");
         // Sized exactly: the values become the stored fact.
         let mut values = Vec::with_capacity(self.head_args.len());
         for (arg, term) in self.head_args.iter().zip(&head.terms) {
-            values.push(match *arg {
-                Arg::Free(Some(k)) => null(k),
-                Arg::Free(_) | Arg::Binds(_) => {
+            let value = match *arg {
+                Arg::Free { existential: true } => null(),
+                Arg::Repeats(first) => values[first],
+                Arg::Free { existential: false } | Arg::Binds(_) => {
                     return Err(EvalError::UnboundVariable(
                         term.as_var().expect("free head arguments are variables"),
                     ))
                 }
                 arg => arg.pinned(row).expect("bound head argument"),
-            });
+            };
+            values.push(value);
         }
         Ok(values)
     }
 
-    /// The lookup pattern of negated atom `k` under the full match row
-    /// `row`: constants and bound variables pinned, the rest wildcards.
-    pub(crate) fn negated_pattern(&self, k: usize, row: &[Value]) -> Vec<Option<Value>> {
-        self.negated_args[k].iter().map(|a| a.pinned(row)).collect()
+    /// True iff a negated atom of `rule` matches an active fact under the
+    /// complete match row `row`. Each atom's lookup probes its planned
+    /// signature and counts in `metrics` as a negation probe or scan;
+    /// the check stops at the first blocking atom.
+    pub(crate) fn negation_blocks(
+        &self,
+        rule: &Rule,
+        db: &Database,
+        row: &[Value],
+        metrics: &mut MatchMetrics,
+    ) -> bool {
+        let mut atoms = rule
+            .negated_body()
+            .zip(&self.negated)
+            .zip(&self.negated_args);
+        atoms.any(|((atom, probe), args)| {
+            let (hit, probed) = find(db, &AtomPlan::lookup(atom, probe, args), row);
+            if probed {
+                metrics.negation_probes += 1;
+            } else {
+                metrics.negation_scans += 1;
+            }
+            hit
+        })
+    }
+
+    /// True iff an active fact satisfies `head`, the rule's head atom,
+    /// under the step row `row`: the restricted chase's check. The fact
+    /// must carry every constant and bound value, and one value at all
+    /// positions of each existential. The lookup probes the planned head
+    /// signature (an all-existential head scans) and counts in `stats` as
+    /// a satisfaction probe or scan.
+    pub(crate) fn head_satisfied(
+        &self,
+        head: &Atom,
+        db: &Database,
+        row: &[Value],
+        stats: &mut RuleStats,
+    ) -> bool {
+        let probe = self.head.as_deref().unwrap_or_default();
+        let (hit, probed) = find(db, &AtomPlan::lookup(head, probe, &self.head_args), row);
+        if probed {
+            stats.satisfaction_probes += 1;
+        } else {
+            stats.satisfaction_scans += 1;
+        }
+        hit
     }
 
     /// Every composite index a chunk of this plan can probe, as
@@ -458,8 +510,9 @@ pub fn match_chunk(
     Ok(out)
 }
 
-/// One body atom with its planned probe, arguments and candidate
-/// restriction.
+/// One atom with its planned probe, arguments and candidate
+/// restriction: a positive body atom of the join, a negated atom or an
+/// existential head.
 struct AtomPlan<'a> {
     atom: &'a Atom,
     /// The statically-bound positions this atom's lookup probes
@@ -471,65 +524,87 @@ struct AtomPlan<'a> {
     min_fact: u32,
 }
 
-/// The candidate facts for `atom` under the slots bound in `row`, in
-/// insertion (= ascending id) order, before the activity and watermark
-/// filters. Probes the composite index on the atom's planned signature
-/// when available — borrowing its posting list — and scans (filtering on
-/// the same positions) otherwise: identical ids in identical order
-/// either way.
+impl<'a> AtomPlan<'a> {
+    /// An unrestricted lookup of `atom`: a negated atom or a head.
+    fn lookup(atom: &'a Atom, probe: &'a [usize], args: &'a [Arg]) -> AtomPlan<'a> {
+        AtomPlan {
+            atom,
+            probe,
+            args,
+            min_fact: 0,
+        }
+    }
+}
+
+/// The candidate facts for `plan`'s atom under the slots bound in `row`,
+/// in insertion (= ascending id) order, before the activity and
+/// watermark filters, and whether an index served them. Probes the
+/// composite index on the atom's planned signature when available —
+/// borrowing its posting list — and scans (filtering on the same
+/// positions) otherwise: identical ids in identical order either way.
+/// Every lookup of a rule's atoms goes through here; each caller counts
+/// its own probe and scan counters.
 fn candidates_for<'d>(
     db: &'d Database,
     plan: &AtomPlan<'_>,
     row: &[Value],
-    metrics: &mut MatchMetrics,
-    count: bool,
-) -> Cow<'d, [FactId]> {
+) -> (Cow<'d, [FactId]>, bool) {
     let atom = plan.atom;
     let probe = plan.probe;
+    if probe.is_empty() {
+        return (Cow::Borrowed(db.facts_of(atom.predicate)), false);
+    }
     // Every planned position holds a constant or a variable bound by an
     // earlier atom, so the key is always fully resolvable.
     let key: Vec<Value> = probe
         .iter()
         .map(|&p| plan.args[p].pinned(row).expect("probed position is bound"))
         .collect();
-    if probe.is_empty() {
-        if count {
-            metrics.scans += 1;
-        }
-        Cow::Borrowed(db.facts_of(atom.predicate))
-    } else {
-        match db.probe_composite(atom.predicate, probe, &key) {
-            Some(hits) => {
-                if count {
-                    metrics.index_probes += 1;
-                    if probe.len() > 1 {
-                        metrics.composite_probes += 1;
-                    }
-                }
-                Cow::Borrowed(hits)
-            }
-            // Index never built: scan the predicate and filter on the
-            // same positions — same ids, same order, just slower.
-            None => {
-                if count {
-                    metrics.scans += 1;
-                }
-                Cow::Owned(
-                    db.facts_of(atom.predicate)
+    match db.probe_composite(atom.predicate, probe, &key) {
+        Some(hits) => (Cow::Borrowed(hits), true),
+        // Index never built: scan the predicate and filter on the same
+        // positions — same ids, same order, just slower.
+        None => {
+            let hits = db
+                .facts_of(atom.predicate)
+                .iter()
+                .copied()
+                .filter(|&id| {
+                    let f = db.fact(id);
+                    probe
                         .iter()
-                        .copied()
-                        .filter(|&id| {
-                            let f = db.fact(id);
-                            probe
-                                .iter()
-                                .zip(&key)
-                                .all(|(&p, v)| f.values.get(p) == Some(v))
-                        })
-                        .collect(),
-                )
-            }
+                        .zip(&key)
+                        .all(|(&p, v)| f.values.get(p) == Some(v))
+                })
+                .collect();
+            (Cow::Owned(hits), false)
         }
     }
+}
+
+/// True iff `values` instantiate `args` under `row`: a constant or a
+/// bound slot must be carried as is, and a variable the atom binds — a
+/// fresh body variable or an existential of the head — takes its value
+/// from its first position, which every later position of the variable
+/// must repeat.
+fn unifies(args: &[Arg], values: &[Value], row: &[Value]) -> bool {
+    args.len() == values.len()
+        && args.iter().zip(values).all(|(arg, value)| match *arg {
+            Arg::Const(c) => c == *value,
+            Arg::Bound(slot) => row[slot] == *value,
+            Arg::Repeats(first) => values[first] == *value,
+            Arg::Binds(_) | Arg::Free { .. } => true,
+        })
+}
+
+/// Whether an active fact unifies with `plan`'s atom under `row`, and
+/// whether an index served the lookup.
+fn find(db: &Database, plan: &AtomPlan<'_>, row: &[Value]) -> (bool, bool) {
+    let (candidates, probed) = candidates_for(db, plan, row);
+    let hit = candidates
+        .iter()
+        .any(|&id| db.is_active(id) && unifies(plan.args, &db.fact(id).values, row));
+    (hit, probed)
 }
 
 /// The contiguous slice of `len` outermost candidates owned by chunk
@@ -546,10 +621,11 @@ fn chunk_bounds(len: usize, part: usize, parts: usize) -> (usize, usize) {
 
 /// The backtracking join over `atoms` (in evaluation order) from `depth`
 /// on. `slice` is the `(part, parts)` share of the outermost loop this
-/// chunk owns; it applies at depth 0 only. Each candidate writes the
-/// slots its atom binds into `row` and checks the ones bound before; a
-/// slot bound at depth `d` is rewritten by the next candidate at `d`
-/// before anything reads it again, so backtracking needs no undo.
+/// chunk owns; it applies at depth 0 only. Each candidate is checked
+/// against the slots bound before and, if it unifies, writes the slots
+/// its atom binds into `row`; a slot bound at depth `d` is rewritten by
+/// the next unifying candidate at `d` before anything reads it again,
+/// so backtracking needs no undo.
 /// Assignments write only the slots past the body variables.
 #[allow(clippy::too_many_arguments)]
 fn join(
@@ -575,8 +651,17 @@ fn join(
     // The outermost lookup runs once per chunk: only chunk 0 counts it,
     // so metric totals do not depend on how the work was split.
     let (part, parts) = slice;
-    let count = depth > 0 || part == 0;
-    let candidates = candidates_for(db, atom_plan, row, metrics, count);
+    let (candidates, probed) = candidates_for(db, atom_plan, row);
+    if depth > 0 || part == 0 {
+        if probed {
+            metrics.index_probes += 1;
+            if atom_plan.probe.len() > 1 {
+                metrics.composite_probes += 1;
+            }
+        } else {
+            metrics.scans += 1;
+        }
+    }
     let live = |id: &FactId| id.0 >= atom_plan.min_fact && db.is_active(*id);
     // The outermost loop is sliced over the live candidates; inner loops
     // read the posting list in place.
@@ -591,23 +676,12 @@ fn join(
 
     for &id in ids.iter().filter(|id| depth == 0 || live(id)) {
         let fact = db.fact(id);
-        if fact.values.len() != atom_plan.args.len() {
-            continue;
-        }
-        let consistent = atom_plan
-            .args
-            .iter()
-            .zip(&fact.values)
-            .all(|(arg, &value)| match *arg {
-                Arg::Const(c) => c == value,
-                Arg::Bound(slot) => row[slot] == value,
-                Arg::Binds(slot) => {
+        if unifies(atom_plan.args, &fact.values, row) {
+            for (arg, &value) in atom_plan.args.iter().zip(&fact.values) {
+                if let Arg::Binds(slot) = *arg {
                     row[slot] = value;
-                    true
                 }
-                Arg::Free(_) => true,
-            });
-        if consistent {
+            }
             premises.push(id);
             join(
                 db,
@@ -649,21 +723,9 @@ fn finish_match(
         row[slot] = a.expr.eval(&RowRef::new(layout, &row[..slot]))?;
     }
 
-    // Negated atoms: fail the match if any fact matches under θ. The
-    // lookup probes the widest composite index whose positions are all
-    // bound (built from the rule's JoinPlan), scanning only when none
-    // exists.
-    for (k, atom) in rule.negated_body().enumerate() {
-        let pattern = plan.negated_pattern(k, row);
-        let (hit, probed) = db.find_matching_metered(atom.predicate, &pattern);
-        if probed {
-            metrics.negation_probes += 1;
-        } else {
-            metrics.negation_scans += 1;
-        }
-        if hit.is_some() {
-            return Ok(None);
-        }
+    // Negated atoms: fail the match if any fact matches under θ.
+    if plan.negation_blocks(rule, db, row, metrics) {
+        return Ok(None);
     }
 
     // Conditions over the aggregate result are checked by the chase
@@ -867,8 +929,6 @@ mod tests {
         ));
     }
 
-    /// `p(x,y), r(y,z)[, s(y,w)], y = y + 1`: the assignment rewrites a
-    /// body variable the join still reads.
     #[test]
     fn post_aggregate_conditions_are_deferred() {
         let mut db = own_db();
@@ -904,10 +964,10 @@ mod tests {
         db.add("own", &["C".into(), "D".into(), 0.7.into()]);
         for rule in [rule, two_hop_rule()] {
             let cold = match_cold(&db, &rule, &mut MatchMetrics::default());
-            assert!(!db.has_index(Symbol::new("own"), 0));
+            assert!(!db.has_composite_index(Symbol::new("own"), &[0]));
             let mut warm_db = db.clone();
             let warm = match_all(&mut warm_db, &rule);
-            assert!(warm_db.has_index(Symbol::new("own"), 0));
+            assert!(warm_db.has_composite_index(Symbol::new("own"), &[0]));
             assert!(!warm.is_empty());
             assert_eq!(cold.len(), warm.len());
             for (a, b) in cold.iter().zip(&warm) {

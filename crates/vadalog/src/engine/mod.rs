@@ -1392,7 +1392,6 @@ impl<'p> Chase<'p> {
     /// run, a rule that keeps none) one full match folds every group.
     fn is_incremental(&self, idx: usize, rule: &Rule, watermark: usize) -> bool {
         watermark != usize::MAX
-            && !rule.is_constraint()
             && !self.rematches(idx, rule)
             && (!rule.has_aggregate() || self.agg_groups[idx].is_some())
     }
@@ -1748,7 +1747,7 @@ impl<'p> Chase<'p> {
             // fold an aggregate rule without kept groups over this
             // round's new contributors only, and would never re-fire a
             // re-matching rule's pre-empted steps.
-            let rederive = completion || (phase.is_none() && !incremental && !rule.is_constraint());
+            let rederive = completion || (phase.is_none() && !incremental);
             let mut matches = if rederive {
                 if incremental {
                     match_delta(&self.db, rule, plan, watermark as u32, &mut metrics)
@@ -1792,7 +1791,7 @@ impl<'p> Chase<'p> {
             matches.sort_by(|a, b| a.premises.cmp(&b.premises));
             matches.dedup_by(|a, b| a.premises == b.premises);
 
-            if rule.has_aggregate() && !rule.is_constraint() {
+            if rule.has_aggregate() {
                 // Runs even without new matches: a kept group may have
                 // lost a contributor to supersession.
                 changed |= self.commit_aggregate(idx, rule, matches, incremental, round)?;
@@ -1803,9 +1802,9 @@ impl<'p> Chase<'p> {
         Ok(CommitControl::Completed { changed })
     }
 
-    /// Commits one rule's canonicalized matches: constraint handling or
-    /// one chase step per match. Returns true if any new fact was added.
-    /// Aggregate rules commit through [`Chase::commit_aggregate`].
+    /// Commits one rule's canonicalized matches: one chase step per
+    /// match. Returns true if any new fact was added. Aggregate rules
+    /// commit through [`Chase::commit_aggregate`].
     fn apply_matches(
         &mut self,
         rule_id: RuleId,
@@ -1813,13 +1812,6 @@ impl<'p> Chase<'p> {
         matches: Vec<BodyMatch>,
         round: u32,
     ) -> Result<bool, ChaseError> {
-        if rule.is_constraint() {
-            if !self.violations.iter().any(|l| l == &rule.label) {
-                self.violations.push(rule.label.clone());
-            }
-            return Ok(false);
-        }
-
         let mut changed = false;
         for m in matches {
             changed |= self
@@ -1887,7 +1879,8 @@ impl<'p> Chase<'p> {
     /// with the restricted-chase satisfaction check, inserts the fact and
     /// records the derivation. `row` is the step's row of the rule's head
     /// layout; aggregate steps pass the rows of their group's
-    /// contributors.
+    /// contributors. A constraint's step records its violation instead:
+    /// this is the one place violations are recorded.
     fn fire(
         &mut self,
         rule_id: RuleId,
@@ -1898,40 +1891,35 @@ impl<'p> Chase<'p> {
         round: u32,
     ) -> Result<bool, EvalError> {
         let Some(head) = rule.head.atom() else {
+            // A constraint whose body matched and, with an aggregate,
+            // whose group passed its conditions: a violation.
+            if !self.violations.contains(&rule.label) {
+                self.violations.push(rule.label.clone());
+            }
             return Ok(false);
         };
         let plan = &self.plans[rule_id.0];
-        self.report.rules[rule_id.0].firings += 1;
+        let stats = &mut self.report.rules[rule_id.0];
+        stats.firings += 1;
 
         if !plan.layout.existentials.is_empty() {
-            // Restricted chase: skip the step if the head is already
-            // satisfied by an existing fact (existential positions are
-            // wildcards, consistently per variable).
-            let pattern = plan.head_pattern(row.values());
-            self.report.rules[rule_id.0].isomorphism_checks += 1;
-            // The head-signature index was built at run start, so this is
-            // a hash probe; all-existential heads have no signature and
-            // scan.
-            let (hit, probed) = self.db.find_matching_metered(head.predicate, &pattern);
-            if probed {
-                self.report.rules[rule_id.0].satisfaction_probes += 1;
-            } else {
-                self.report.rules[rule_id.0].satisfaction_scans += 1;
-            }
-            if hit.is_some() {
-                self.report.rules[rule_id.0].satisfaction_preempted += 1;
+            // Restricted chase: skip the step if an active fact already
+            // satisfies the head, each existential taking one value at
+            // all its positions. The head-signature index was built at
+            // run start, so this is a hash probe; all-existential heads
+            // have no signature and scan.
+            stats.isomorphism_checks += 1;
+            if plan.head_satisfied(head, &self.db, row.values(), stats) {
+                stats.satisfaction_preempted += 1;
                 return Ok(false);
             }
         }
 
         // Fresh nulls, one per existential variable of this firing.
-        let mut nulls: Vec<Option<Value>> = vec![None; plan.layout.existentials.len()];
         let null_counter = &mut self.null_counter;
-        let values = plan.head_values(rule, row.values(), |k| {
-            *nulls[k].get_or_insert_with(|| {
-                *null_counter += 1;
-                Value::Null(*null_counter)
-            })
+        let values = plan.head_values(rule, row.values(), || {
+            *null_counter += 1;
+            Value::Null(*null_counter)
         })?;
 
         let fact = Fact {
@@ -2457,10 +2445,7 @@ mod tests {
         let id = out
             .lookup(&Fact::new("control", vec!["A".into(), "T".into()]))
             .expect("joint control via two hubs");
-        let best = out
-            .graph
-            .choose_derivation(id, crate::provenance::DerivationPolicy::Richest)
-            .unwrap();
+        let best = out.graph.choose_derivation(id).unwrap();
         let der = out.graph.derivation(best);
         assert_eq!(der.contributors, 2);
         // Premises: control(A,HUB), own(HUB,T), control(A,HUB2), own(HUB2,T).
@@ -2878,9 +2863,7 @@ mod stratified_tests {
         let id = out
             .lookup(&Fact::new("isolated", vec!["z".into()]))
             .unwrap();
-        let proof = out
-            .graph
-            .proof(id, crate::provenance::DerivationPolicy::Richest);
+        let proof = out.graph.proof(id);
         // The proof of isolated("z") rests on node("z") (negation leaves
         // no positive premise for reach).
         assert_eq!(proof.steps(), 1);

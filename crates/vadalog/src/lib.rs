@@ -99,9 +99,7 @@ pub mod prelude {
     pub use crate::obs::span::{RingCollector, SpanRecord, SpanSink};
     pub use crate::parser::{parse_program, ParsedProgram};
     pub use crate::program::Program;
-    pub use crate::provenance::{
-        ChaseGraph, ChaseStep, Derivation, DerivationId, DerivationPolicy, ProofTree,
-    };
+    pub use crate::provenance::{ChaseGraph, ChaseStep, Derivation, DerivationId, ProofTree};
     pub use crate::row::{Layout, Row, RowRef, Rows, Slot};
     pub use crate::rule::{
         AggFunc, Aggregate, Head, Literal, Rule, RuleBuilder, RuleId, RuleLayout,

@@ -3,8 +3,8 @@
 //! Nodes are facts; each *derivation* records which rule produced a fact
 //! from which premises (Sec. 3, "Chase Procedure and Chase Graph"). A fact
 //! may have several derivations (e.g. a default triggered by two distinct
-//! risk facts); explanation extraction chooses among them with a
-//! [`DerivationPolicy`].
+//! risk facts); explanation extraction picks the richest one
+//! ([`ChaseGraph::choose_derivation`]).
 
 use crate::database::{table_growth, vec_growth, FactId};
 use crate::row::{Row, Rows};
@@ -55,21 +55,6 @@ impl Derivation {
             contributor_bindings: Rows::empty(),
         }
     }
-}
-
-/// How to pick among multiple derivations of the same fact.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DerivationPolicy {
-    /// The derivation recorded first (chase order). Deterministic and
-    /// cheapest, but for aggregates it may surface a partial sum.
-    Earliest,
-    /// The derivation with the most aggregation contributors, tie-broken
-    /// by earliest round then earliest id. For aggregates this selects the
-    /// fullest contributor set (matching the explanations shown in the
-    /// paper); among equally-contributing derivations it keeps the
-    /// chase-order one (default).
-    #[default]
-    Richest,
 }
 
 /// The chase graph of a run.
@@ -185,42 +170,34 @@ impl ChaseGraph {
         self.approx_bytes
     }
 
-    /// Chooses a derivation of `fact` according to `policy`.
-    pub fn choose_derivation(
-        &self,
-        fact: FactId,
-        policy: DerivationPolicy,
-    ) -> Option<DerivationId> {
-        let candidates = self.derivations_of(fact);
-        match policy {
-            DerivationPolicy::Earliest => candidates.first().copied(),
-            DerivationPolicy::Richest => candidates.iter().copied().max_by_key(|&d| {
-                let der = self.derivation(d);
-                (
-                    der.contributors,
-                    std::cmp::Reverse(der.round),
-                    std::cmp::Reverse(d.0),
-                )
-            }),
-        }
+    /// The derivation of `fact` that explanations use: the one with the
+    /// most aggregation contributors, tie-broken by earliest round then
+    /// earliest id. For aggregates this selects the fullest contributor
+    /// set (matching the explanations shown in the paper); among
+    /// equally-contributing derivations it keeps the chase-order one.
+    pub fn choose_derivation(&self, fact: FactId) -> Option<DerivationId> {
+        self.derivations_of(fact).iter().copied().max_by_key(|&d| {
+            let der = self.derivation(d);
+            (
+                der.contributors,
+                std::cmp::Reverse(der.round),
+                std::cmp::Reverse(d.0),
+            )
+        })
     }
 
-    /// Extracts the proof tree of `fact` under `policy`.
+    /// Extracts the proof tree of `fact`, choosing each derivation with
+    /// [`ChaseGraph::choose_derivation`].
     ///
     /// The chase graph is acyclic by construction (premises always precede
     /// conclusions), so recursion terminates; a visited set guards against
     /// pathological graphs built by hand.
-    pub fn proof(&self, fact: FactId, policy: DerivationPolicy) -> ProofTree {
+    pub fn proof(&self, fact: FactId) -> ProofTree {
         let mut on_path = HashSet::new();
-        self.proof_rec(fact, policy, &mut on_path)
+        self.proof_rec(fact, &mut on_path)
     }
 
-    fn proof_rec(
-        &self,
-        fact: FactId,
-        policy: DerivationPolicy,
-        on_path: &mut HashSet<FactId>,
-    ) -> ProofTree {
+    fn proof_rec(&self, fact: FactId, on_path: &mut HashSet<FactId>) -> ProofTree {
         if !on_path.insert(fact) {
             // Cycle guard: treat the repeated fact as a leaf premise.
             return ProofTree {
@@ -229,7 +206,7 @@ impl ChaseGraph {
                 children: Vec::new(),
             };
         }
-        let tree = match self.choose_derivation(fact, policy) {
+        let tree = match self.choose_derivation(fact) {
             None => ProofTree {
                 fact,
                 step: None,
@@ -240,7 +217,7 @@ impl ChaseGraph {
                     .derivation(did)
                     .premises
                     .iter()
-                    .map(|&p| self.proof_rec(p, policy, on_path))
+                    .map(|&p| self.proof_rec(p, on_path))
                     .collect();
                 ProofTree {
                     fact,
@@ -411,7 +388,7 @@ mod tests {
     #[test]
     fn proof_counts_steps_and_facts() {
         let (g, target) = figure_8();
-        let proof = g.proof(target, DerivationPolicy::Richest);
+        let proof = g.proof(target);
         assert_eq!(proof.steps(), 5);
         assert_eq!(proof.facts().len(), 12);
         assert_eq!(proof.depth(), 5);
@@ -420,7 +397,7 @@ mod tests {
     #[test]
     fn linearization_matches_paper_tau() {
         let (g, target) = figure_8();
-        let proof = g.proof(target, DerivationPolicy::Richest);
+        let proof = g.proof(target);
         let tau: Vec<usize> = proof.linearize(&g).iter().map(|s| s.rule.0).collect();
         // τ = {α, β, γ, β, γ} with α=0, β=1, γ=2.
         assert_eq!(tau, vec![0, 1, 2, 1, 2]);
@@ -441,7 +418,7 @@ mod tests {
         // 7 <- r4(5, 4, 3): the deeper premise 5 wins over later ties.
         let d7 = g.record(der(4, &[5, 4, 3], 7, 3, 1));
         let spine = |fact: u32| -> Vec<DerivationId> {
-            let proof = g.proof(FactId(fact), DerivationPolicy::Richest);
+            let proof = g.proof(FactId(fact));
             let steps = proof.linearize(&g);
             assert_eq!(steps.len(), proof.depth());
             steps.iter().map(|s| s.derivation).collect()
@@ -453,7 +430,7 @@ mod tests {
     #[test]
     fn contributors_flow_into_steps() {
         let (g, target) = figure_8();
-        let proof = g.proof(target, DerivationPolicy::Richest);
+        let proof = g.proof(target);
         let steps = proof.linearize(&g);
         // The second beta step (risk(C,11)) has two contributors.
         assert_eq!(steps[3].contributors, 2);
@@ -461,27 +438,22 @@ mod tests {
     }
 
     #[test]
-    fn richest_policy_prefers_more_premises() {
+    fn choose_derivation_prefers_more_contributors() {
         let mut g = ChaseGraph::new();
         g.mark_extensional(FactId(0));
         g.mark_extensional(FactId(1));
-        // Fact 2 derived two ways: one premise vs two premises.
+        // Fact 2 derived two ways: one contributor vs two, the richer
+        // one recorded second.
         g.record(der(0, &[0], 2, 1, 1));
         g.record(der(1, &[0, 1], 2, 1, 2));
-        let rich = g
-            .choose_derivation(FactId(2), DerivationPolicy::Richest)
-            .unwrap();
+        let rich = g.choose_derivation(FactId(2)).unwrap();
         assert_eq!(g.derivation(rich).rule, RuleId(1));
-        let early = g
-            .choose_derivation(FactId(2), DerivationPolicy::Earliest)
-            .unwrap();
-        assert_eq!(g.derivation(early).rule, RuleId(0));
     }
 
     #[test]
     fn extensional_fact_has_trivial_proof() {
         let (g, _) = figure_8();
-        let proof = g.proof(FactId(3), DerivationPolicy::Richest);
+        let proof = g.proof(FactId(3));
         assert_eq!(proof.steps(), 0);
         assert!(proof.step.is_none());
         assert!(g.is_extensional(FactId(3)));

@@ -180,7 +180,7 @@ proptest! {
             let extensional = out.graph.is_extensional(id);
             prop_assert!(derived != extensional, "fact {} is both/neither", id);
             if derived {
-                let proof = out.graph.proof(id, DerivationPolicy::Richest);
+                let proof = out.graph.proof(id);
                 prop_assert!(proof.steps() >= 1);
                 prop_assert!(!proof.linearize(&out.graph).is_empty());
             }

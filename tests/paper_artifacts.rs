@@ -29,7 +29,7 @@ fn example_4_7_tau_and_covering() {
     let id = outcome
         .lookup(&Fact::new("default", vec!["C".into()]))
         .unwrap();
-    let proof = outcome.graph.proof(id, DerivationPolicy::Richest);
+    let proof = outcome.graph.proof(id);
     let tau: Vec<String> = proof
         .linearize(&outcome.graph)
         .iter()

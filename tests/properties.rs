@@ -172,7 +172,7 @@ proptest! {
             if !outcome.graph.is_derived(id) {
                 continue;
             }
-            let proof = outcome.graph.proof(id, DerivationPolicy::Richest);
+            let proof = outcome.graph.proof(id);
             let tau = proof.linearize(&outcome.graph);
             prop_assert!(tau.len() <= proof.steps());
             prop_assert!(!tau.is_empty());
